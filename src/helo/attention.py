@@ -4,8 +4,10 @@ One modality supplies the queries; every other physiological modality is
 attended to separately with its own key/value projections, after which the
 per-modality outputs are concatenated along the token axis.  The same
 multi-head kernel drives the self-attention encoder reused by the transport
-fusion stage.  Forward functions return explicit caches so the matching
-backward functions can accumulate gradients without an autodiff tape.
+fusion stage.  Token arrays are (..., T, d): a leading batch axis carries a
+whole batch through one call.  Forward functions return explicit caches so
+the matching backward functions can accumulate gradients, summed over the
+batch, without an autodiff tape.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ from .linalg import (
     Matrix,
     Parameter,
     Rng,
+    bias_grad,
     layer_norm_backward,
     layer_norm_forward,
+    mT,
     softmax_rows,
     softmax_rows_backward,
     tanh_backward,
     tanh_forward,
+    weight_grad,
 )
 
 LN_EPS = 1e-5
@@ -91,35 +96,37 @@ class EncoderParams:
 
 
 def project_modality_forward(raw: np.ndarray, proj: ModalityProjection):
-    raw = np.asarray(raw, dtype=np.float64).reshape(-1)
+    """Feature vectors (..., dim) to token grids (..., tokens, d)."""
+    raw = np.asarray(raw, dtype=np.float64)
     channels = proj.channels
-    if raw.size % channels != 0:
+    size = raw.shape[-1]
+    if size % channels != 0:
         raise DimensionError(
-            f"{proj.modality}: {raw.size} features not divisible by "
+            f"{proj.modality}: {size} features not divisible by "
             f"{channels} channels"
         )
-    grid = raw.reshape(channels, raw.size // channels)
-    if grid.shape[1] != proj.w.shape[0]:
+    grid = raw.reshape(*raw.shape[:-1], channels, size // channels)
+    if grid.shape[-1] != proj.w.shape[0]:
         raise DimensionError(
             f"{proj.modality}: projection expects width {proj.w.shape[0]}, "
-            f"got {grid.shape[1]}"
+            f"got {grid.shape[-1]}"
         )
     if proj.mix.shape[1] != channels:
         raise DimensionError(
             f"{proj.modality}: token mixing expects {proj.mix.shape[1]} channels, "
             f"got {channels}"
         )
-    projected = grid @ proj.w.value            # channels x d
+    projected = grid @ proj.w.value            # ... x channels x d
     tokens = proj.mix.value @ projected + proj.bias.value
     return tokens, (grid, projected)
 
 
 def project_modality_backward(dtokens: Matrix, cache, proj: ModalityProjection) -> None:
     grid, projected = cache
-    proj.bias.grad += dtokens.sum(axis=0, keepdims=True)
-    proj.mix.grad += dtokens @ projected.T
+    proj.bias.grad += bias_grad(dtokens)
+    proj.mix.grad += weight_grad(mT(dtokens), mT(projected))
     dprojected = proj.mix.value.T @ dtokens
-    proj.w.grad += grid.T @ dprojected
+    proj.w.grad += weight_grad(grid, dprojected)
 
 
 def project_modality(raw: np.ndarray, proj: ModalityProjection) -> ModalityTokens:
@@ -133,49 +140,43 @@ def project_modality(raw: np.ndarray, proj: ModalityProjection) -> ModalityToken
 
 
 def _split_heads(x: Matrix, heads: int):
-    width = x.shape[1]
+    """(..., T, width) -> (..., heads, T, width / heads), a view."""
+    *lead, tokens, width = x.shape
     if width % heads != 0:
         raise ConfigurationError(f"{heads} heads do not divide width {width}")
-    step = width // heads
-    return [x[:, i * step : (i + 1) * step] for i in range(heads)]
+    return x.reshape(*lead, tokens, heads, width // heads).swapaxes(-2, -3)
+
+
+def _merge_heads(x: Matrix) -> Matrix:
+    """(..., heads, T, width / heads) -> (..., T, width), heads side by side."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(*x.shape[:-2], -1)
 
 
 def multi_head_forward(q: Matrix, k: Matrix, v: Matrix, heads: int):
     """Per-head softmax(Q K^T / sqrt(d_head)) V, heads concatenated."""
-    head_caches = []
-    outs = []
-    scale = 1.0 / np.sqrt(q.shape[1] / heads)
-    for qh, kh, vh in zip(*(_split_heads(x, heads) for x in (q, k, v))):
-        logits = (qh @ kh.T) * scale
-        attn = softmax_rows(logits)
-        outs.append(attn @ vh)
-        head_caches.append((attn, qh, kh, vh))
-    return np.concatenate(outs, axis=1), (head_caches, scale, heads)
+    scale = 1.0 / np.sqrt(q.shape[-1] / heads)
+    qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
+    attn = softmax_rows((qh @ mT(kh)) * scale)
+    return _merge_heads(attn @ vh), (attn, qh, kh, vh, scale)
 
 
 def multi_head_backward(dout: Matrix, cache):
-    head_caches, scale, heads = cache
-    dqs, dks, dvs = [], [], []
-    for dhead, (attn, qh, kh, vh) in zip(_split_heads(dout, heads), head_caches):
-        dattn = dhead @ vh.T
-        dvs.append(attn.T @ dhead)
-        dlogits = softmax_rows_backward(dattn, attn)
-        dqs.append((dlogits @ kh) * scale)
-        dks.append((dlogits.T @ qh) * scale)
-    return (
-        np.concatenate(dqs, axis=1),
-        np.concatenate(dks, axis=1),
-        np.concatenate(dvs, axis=1),
-    )
+    attn, qh, kh, vh, scale = cache
+    dhead = _split_heads(dout, attn.shape[-3])
+    dattn = dhead @ mT(vh)
+    dv = mT(attn) @ dhead
+    dlogits = softmax_rows_backward(dattn, attn)
+    dq = (dlogits @ kh) * scale
+    dk = (mT(dlogits) @ qh) * scale
+    return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
 
 def attention_weights(q: Matrix, k: Matrix, heads: int) -> list[Matrix]:
     """Diagnostics hook: the per-head attention maps for given projections."""
-    scale = 1.0 / np.sqrt(q.shape[1] / heads)
-    return [
-        softmax_rows((qh @ kh.T) * scale)
-        for qh, kh in zip(_split_heads(q, heads), _split_heads(k, heads))
-    ]
+    scale = 1.0 / np.sqrt(q.shape[-1] / heads)
+    logits = _split_heads(q, heads) @ mT(_split_heads(k, heads))
+    return list(softmax_rows(logits * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +190,10 @@ def cross_attend_forward(
     modality: str,
     params: CrossAttentionParams,
 ):
-    if query_tokens.shape[1] != kv_tokens.shape[1]:
+    if query_tokens.shape[-1] != kv_tokens.shape[-1]:
         raise DimensionError(
-            f"query width {query_tokens.shape[1]} != key/value width "
-            f"{kv_tokens.shape[1]}"
+            f"query width {query_tokens.shape[-1]} != key/value width "
+            f"{kv_tokens.shape[-1]}"
         )
     q = query_tokens @ params.w_q.value
     k = kv_tokens @ params.w_k[modality].value
@@ -209,12 +210,12 @@ def cross_attend_forward(
 
 def cross_attend_backward(dout: Matrix, cache, params: CrossAttentionParams):
     query_tokens, kv_tokens, modality, q, k, v, heads_out, mha_cache, ln_cache = cache
-    params.w_mha.grad += heads_out.T @ dout
+    params.w_mha.grad += weight_grad(heads_out, dout)
     dheads = dout @ params.w_mha.value.T
     dq, dk, dv = multi_head_backward(dheads, mha_cache)
-    params.w_q.grad += query_tokens.T @ dq
-    params.w_k[modality].grad += kv_tokens.T @ dk
-    params.w_v[modality].grad += kv_tokens.T @ dv
+    params.w_q.grad += weight_grad(query_tokens, dq)
+    params.w_k[modality].grad += weight_grad(kv_tokens, dk)
+    params.w_v[modality].grad += weight_grad(kv_tokens, dv)
     dquery = dq @ params.w_q.value.T
     dkv = dk @ params.w_k[modality].value.T + dv @ params.w_v[modality].value.T
     dln, dgamma, dbeta = layer_norm_backward(dout, ln_cache)
@@ -238,11 +239,11 @@ def cross_attend(
 
 def fuse_physio(x_eg: Matrix, x_ep: Matrix) -> Matrix:
     """Stack the two cross-modal streams along the token axis."""
-    if x_eg.shape[1] != x_ep.shape[1]:
+    if x_eg.shape[-1] != x_ep.shape[-1]:
         raise DimensionError(
-            f"fuse_physio widths differ: {x_eg.shape[1]} vs {x_ep.shape[1]}"
+            f"fuse_physio widths differ: {x_eg.shape[-1]} vs {x_ep.shape[-1]}"
         )
-    return np.concatenate([x_eg, x_ep], axis=0)
+    return np.concatenate([x_eg, x_ep], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +272,23 @@ def _encoder_layer_forward(x: Matrix, layer: EncoderLayerParams, heads: int):
 
 def _encoder_layer_backward(dout: Matrix, cache, layer: EncoderLayerParams, heads: int):
     n1, q, k, v, heads_out, mha_cache, ln1_cache, y, n2, ln2_cache, act = cache
-    layer.b_ff2.grad += dout.sum(axis=0, keepdims=True)
-    layer.w_ff2.grad += act.T @ dout
+    layer.b_ff2.grad += bias_grad(dout)
+    layer.w_ff2.grad += weight_grad(act, dout)
     dact = dout @ layer.w_ff2.value.T
     dpre = tanh_backward(dact, act)
-    layer.b_ff1.grad += dpre.sum(axis=0, keepdims=True)
-    layer.w_ff1.grad += n2.T @ dpre
+    layer.b_ff1.grad += bias_grad(dpre)
+    layer.w_ff1.grad += weight_grad(n2, dpre)
     dn2 = dpre @ layer.w_ff1.value.T
     dy, dg2, db2 = layer_norm_backward(dn2, ln2_cache)
     layer.ln2_gamma.grad += dg2
     layer.ln2_beta.grad += db2
     dy = dy + dout
-    layer.w_o.grad += heads_out.T @ dy
+    layer.w_o.grad += weight_grad(heads_out, dy)
     dheads = dy @ layer.w_o.value.T
     dq, dk, dv = multi_head_backward(dheads, mha_cache)
-    layer.w_q.grad += n1.T @ dq
-    layer.w_k.grad += n1.T @ dk
-    layer.w_v.grad += n1.T @ dv
+    layer.w_q.grad += weight_grad(n1, dq)
+    layer.w_k.grad += weight_grad(n1, dk)
+    layer.w_v.grad += weight_grad(n1, dv)
     dn1 = dq @ layer.w_q.value.T + dk @ layer.w_k.value.T + dv @ layer.w_v.value.T
     dx, dg1, db1 = layer_norm_backward(dn1, ln1_cache)
     layer.ln1_gamma.grad += dg1

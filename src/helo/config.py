@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigurationError
 
@@ -31,6 +32,10 @@ class TrainConfig:
     modality_channels: dict[str, int] = field(default_factory=dict)
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         positives = (
             ("learning_rate", self.learning_rate),
             ("batch_size", self.batch_size),

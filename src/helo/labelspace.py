@@ -3,7 +3,9 @@
 A learnable embedding row per emotion class induces a cosine correlation
 matrix that is (a) pulled toward the batch ground-truth label correlation by
 a squared-Frobenius penalty and (b) added to the attention logits when the
-label embeddings query the fused multi-modal tokens.
+label embeddings query the fused multi-modal tokens.  Token arrays and
+predictions may carry a leading batch axis; the label embedding and its
+correlation matrix are shared by the whole batch.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from .linalg import (
     affine_forward,
     cosine_gram_backward,
     cosine_gram_forward,
+    mT,
     mean_rows_backward,
     mean_rows_forward,
     softmax_rows,
     softmax_rows_backward,
     tanh_backward,
     tanh_forward,
+    weight_grad,
 )
 
 log = logging.getLogger(__name__)
@@ -104,10 +108,10 @@ def lcdca_forward(
     x_l: Matrix, x_m: Matrix, m_learn: Matrix, params: LabelAttentionParams
 ):
     n_labels, d = x_l.shape
-    if x_m.shape[0] != n_labels:
+    if x_m.shape[-2] != n_labels:
         raise ConfigurationError(
             f"label attention needs exactly {n_labels} pooled tokens, "
-            f"got {x_m.shape[0]}"
+            f"got {x_m.shape[-2]}"
         )
     if m_learn.shape != (n_labels, n_labels):
         raise DimensionError(
@@ -117,25 +121,28 @@ def lcdca_forward(
     k = x_m @ params.w_k.value
     v = x_m @ params.w_v.value
     sqrt_d = np.sqrt(d)
-    attn = softmax_rows((q @ k.T + m_learn) / sqrt_d)
+    attn = softmax_rows((q @ mT(k) + m_learn) / sqrt_d)
     out = attn @ v
     return out, (x_l, x_m, q, k, v, attn, sqrt_d)
 
 
 def lcdca_backward(dout: Matrix, cache, params: LabelAttentionParams):
-    """Returns (d_x_l, d_x_m, d_m_learn) and accumulates projection grads."""
+    """Returns (d_x_l, d_x_m, d_m_learn) and accumulates projection grads.
+
+    The shared inputs x_l and m_learn get gradients summed over the batch.
+    """
     x_l, x_m, q, k, v, attn, sqrt_d = cache
-    dattn = dout @ v.T
-    dv = attn.T @ dout
-    params.w_v.grad += x_m.T @ dv
+    dattn = dout @ mT(v)
+    dv = mT(attn) @ dout
+    params.w_v.grad += weight_grad(x_m, dv)
     dlogits = softmax_rows_backward(dattn, attn) / sqrt_d
-    dq = dlogits @ k
-    dk = dlogits.T @ q
+    dq = weight_grad(mT(dlogits), k)
+    dk = mT(dlogits) @ q
     params.w_q.grad += x_l.T @ dq
-    params.w_k.grad += x_m.T @ dk
+    params.w_k.grad += weight_grad(x_m, dk)
     d_x_l = dq @ params.w_q.value.T
     d_x_m = dk @ params.w_k.value.T + dv @ params.w_v.value.T
-    return d_x_l, d_x_m, dlogits
+    return d_x_l, d_x_m, dlogits.reshape(-1, *dlogits.shape[-2:]).sum(axis=0)
 
 
 def lcdca(
@@ -160,12 +167,12 @@ def predict_head_forward(x_o: Matrix, params: PredictionHeadParams):
     h2 = tanh_forward(h2_pre)
     logits, c3 = affine_forward(h2, params.w3.value, params.b3.value)
     probs = softmax_rows(logits)
-    return probs[0], (n_rows, c1, h1, c2, h2, c3, probs)
+    return probs[..., 0, :], (n_rows, c1, h1, c2, h2, c3, probs)
 
 
 def predict_head_backward(dprobs: np.ndarray, cache, params: PredictionHeadParams):
     n_rows, c1, h1, c2, h2, c3, probs = cache
-    dlogits = softmax_rows_backward(dprobs.reshape(1, -1), probs)
+    dlogits = softmax_rows_backward(dprobs[..., None, :], probs)
     dh2, dw3, db3 = affine_backward(dlogits, c3)
     params.w3.grad += dw3
     params.b3.grad += db3
@@ -181,7 +188,11 @@ def predict_head_backward(dprobs: np.ndarray, cache, params: PredictionHeadParam
 
 
 def predict_head(x_o: Matrix, params: PredictionHeadParams) -> np.ndarray:
-    """Mean-pool the label-attended tokens and map through the MLP + softmax."""
+    """Mean-pool the label-attended tokens and map through the MLP + softmax.
+
+    Each sample's pooled row goes through the MLP as its own 1-row product,
+    so a prediction does not depend on the batch it was computed in.
+    """
     probs, _ = predict_head_forward(x_o, params)
     return probs
 
@@ -193,30 +204,34 @@ def predict_head(x_o: Matrix, params: PredictionHeadParams) -> np.ndarray:
 
 def _smooth(p: np.ndarray) -> np.ndarray:
     q = p + PROB_SMOOTHING
-    return q / q.sum()
+    return q / q.sum(axis=-1, keepdims=True)
 
 
-def kld_loss(pred: np.ndarray, truth: np.ndarray) -> float:
-    """KL divergence of the prediction from the ground truth, both smoothed."""
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-    truth = np.asarray(truth, dtype=np.float64).reshape(-1)
+def kld_loss(pred: np.ndarray, truth: np.ndarray):
+    """KL divergence of the prediction from the ground truth, both smoothed.
+
+    One distribution gives a float; a (B, L) batch gives one value per row.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise DimensionError(
-            f"distribution lengths differ: {pred.shape[0]} vs {truth.shape[0]}"
+            f"distribution shapes differ: {pred.shape} vs {truth.shape}"
         )
     ps, ts = _smooth(pred), _smooth(truth)
-    return float((ts * np.log(ts / ps)).sum())
+    kl = (ts * np.log(ts / ps)).sum(axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def kld_loss_backward(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Gradient of kld_loss with respect to the raw prediction vector."""
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-    truth = np.asarray(truth, dtype=np.float64).reshape(-1)
+    """Gradient of kld_loss with respect to the raw prediction vector(s)."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
     ps, ts = _smooth(pred), _smooth(truth)
     # d ps_j / d pred_j = 1/s with s the smoothed sum; cross terms -ps_j/s.
-    s = pred.sum() + PROB_SMOOTHING * pred.size
+    s = pred.sum(axis=-1, keepdims=True) + PROB_SMOOTHING * pred.shape[-1]
     dps = -ts / ps
-    return (dps - (dps * ps).sum()) / s
+    return (dps - (dps * ps).sum(axis=-1, keepdims=True)) / s
 
 
 def overall_loss(kld: float, cc: float, lambda_cc: float) -> float:

@@ -1,9 +1,12 @@
 """Dense float64 kernels with hand-written backward passes.
 
 Everything downstream (attention blocks, transport fusion, label attention,
-losses) is composed from the forward/backward pairs in this module.  All
-carriers are 2-D row-major float64 arrays; operations are pure functions and
-numpy's fixed reduction order keeps runs bit-reproducible per seed.
+losses) is composed from the forward/backward pairs in this module.  Kernels
+act on the last two axes and broadcast over any leading batch axes, so one
+call covers a (B, T, d) stack of per-sample matrices.  Forward products
+stay per-sample matrix products: a row of the batch is computed exactly as a
+batch of one, and numpy's fixed reduction order keeps runs bit-reproducible
+per seed.  Weight gradients are summed over the batch by one fused product.
 """
 
 from __future__ import annotations
@@ -30,20 +33,36 @@ class DegenerateRowWarning(UserWarning):
     """A zero-norm row was mapped to similarity 0 in a cosine computation."""
 
 
-def as_matrix(data, name: str = "matrix") -> Matrix:
-    """Coerce to a 2-D C-contiguous float64 array, rejecting non-finite input."""
-    arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"{name} contains non-finite entries")
-    return arr
-
-
 def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values produced by {context}")
     return arr
+
+
+# Row reductions call the ufuncs directly: with small matrices, the Python
+# layer of ndarray.sum/max/mean costs as much as the arithmetic.  The
+# results are the same bits (np.mean is add.reduce over the count).
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, axis=-1, keepdims=True)
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
+def mT(x: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (the last two axes)."""
+    return x.swapaxes(-1, -2)
+
+
+def weight_grad(x: np.ndarray, dout: np.ndarray) -> Matrix:
+    """Gradient of w in `x @ w`, summed over every leading axis of x."""
+    return x.reshape(-1, x.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
+
+
+def bias_grad(dout: np.ndarray) -> Matrix:
+    """Gradient of a (1 x d) row added to every row of every matrix."""
+    return dout.reshape(-1, dout.shape[-1]).sum(axis=0, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -69,24 +88,24 @@ def matmul_backward(dout: Matrix, a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]
 
 def softmax_rows(x: Matrix) -> Matrix:
     """Row-wise softmax with per-row max subtraction for overflow safety."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= _row_sum(e)
+    return e
 
 
 def softmax_rows_backward(dout: Matrix, out: Matrix) -> Matrix:
-    return out * (dout - (dout * out).sum(axis=1, keepdims=True))
+    return out * (dout - _row_sum(dout * out))
 
 
 def layer_norm_forward(x: Matrix, gamma: Matrix, beta: Matrix, eps: float):
-    if gamma.shape != (1, x.shape[1]) or beta.shape != (1, x.shape[1]):
+    if gamma.shape != (1, x.shape[-1]) or beta.shape != (1, x.shape[-1]):
         raise DimensionError(
-            f"layer_norm scale/shift must be 1x{x.shape[1]}, "
+            f"layer_norm scale/shift must be 1x{x.shape[-1]}, "
             f"got {gamma.shape} and {beta.shape}"
         )
-    mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    xc = x - _row_mean(x)
+    var = _row_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return xhat * gamma + beta, (xhat, inv, gamma)
@@ -94,14 +113,10 @@ def layer_norm_forward(x: Matrix, gamma: Matrix, beta: Matrix, eps: float):
 
 def layer_norm_backward(dout: Matrix, cache) -> tuple[Matrix, Matrix, Matrix]:
     xhat, inv, gamma = cache
-    dgamma = (dout * xhat).sum(axis=0, keepdims=True)
-    dbeta = dout.sum(axis=0, keepdims=True)
+    dgamma = bias_grad(dout * xhat)
+    dbeta = bias_grad(dout)
     dxhat = dout * gamma
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-    )
+    dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
     return dx, dgamma, dbeta
 
 
@@ -129,14 +144,14 @@ def affine_forward(x: Matrix, w: Matrix, b: Matrix):
 
 def affine_backward(dout: Matrix, cache) -> tuple[Matrix, Matrix, Matrix]:
     x, w = cache
-    return dout @ w.T, x.T @ dout, dout.sum(axis=0, keepdims=True)
+    return dout @ w.T, weight_grad(x, dout), bias_grad(dout)
 
 
 def _normalize_rows(x: Matrix) -> tuple[Matrix, np.ndarray, bool]:
-    norms = np.sqrt((x * x).sum(axis=1))
+    norms = np.sqrt((x * x).sum(axis=-1))
     degenerate = bool((norms == 0.0).any())
     safe = np.where(norms == 0.0, 1.0, norms)
-    return x / safe[:, None], norms, degenerate
+    return x / safe[..., None], norms, degenerate
 
 
 def cosine_rows_flagged(a: Matrix, b: Matrix) -> tuple[Matrix, bool]:
@@ -145,15 +160,15 @@ def cosine_rows_flagged(a: Matrix, b: Matrix) -> tuple[Matrix, bool]:
     Zero-norm rows contribute similarity 0 instead of NaN so downstream
     losses stay total.  The similarity matrix is built by an elementwise
     product reduced over the feature axis, which makes cosine_rows(a, b)
-    bitwise equal to cosine_rows(b, a).T.
+    bitwise equal to cosine_rows(b, a).T.  Leading axes are a batch.
     """
-    if a.shape[1] != b.shape[1]:
+    if a.shape[-1] != b.shape[-1]:
         raise DimensionError(
             f"cosine_rows feature widths differ: {a.shape} vs {b.shape}"
         )
     ya, _, dega = _normalize_rows(a)
     yb, _, degb = _normalize_rows(b)
-    sim = (ya[:, None, :] * yb[None, :, :]).sum(axis=2)
+    sim = (ya[..., :, None, :] * yb[..., None, :, :]).sum(axis=-1)
     return np.clip(sim, -1.0, 1.0), dega or degb
 
 
@@ -183,11 +198,11 @@ def cosine_gram_backward(dsim: Matrix, cache) -> Matrix:
 
 
 def mean_rows_forward(x: Matrix):
-    return x.mean(axis=0, keepdims=True), x.shape[0]
+    return x.mean(axis=-2, keepdims=True), x.shape[-2]
 
 
 def mean_rows_backward(dout: Matrix, n_rows: int) -> Matrix:
-    return np.repeat(dout / n_rows, n_rows, axis=0)
+    return np.repeat(dout / n_rows, n_rows, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +236,6 @@ class Parameter:
 
 
 ParamDict = dict[str, Parameter]
-
-
-def zero_grads(params: ParamDict) -> None:
-    for p in params.values():
-        p.zero_grad()
 
 
 class Rng:

@@ -1,9 +1,12 @@
 """Full pipeline assembly: projection, fusion, transport, label attention.
 
 A model owns every trainable parameter plus the wiring decisions implied by
-the schema and the ablation switches.  Forward passes cache intermediates
-per sample; the batch backward accumulates gradients in fixed sample order
-so runs stay bit-reproducible.
+the schema and the ablation switches.  Training, evaluation and prediction
+share one forward pass over (B, T, d) token arrays; prediction is a batch of
+one, and every forward product is a per-sample matrix product, so a
+sample's prediction is bit-identical in any batch.  The backward pass runs
+once per batch and sums weight gradients over it in a fixed order, so runs
+stay bit-reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import transport as tp
 from .config import TrainConfig
 from .data import DatasetSchema
 from .errors import ConfigurationError, DivergenceError, NumericalError
-from .linalg import Matrix, Parameter, Rng
+from .linalg import Matrix, Parameter, Rng, mT, weight_grad
 
 
 @dataclass(frozen=True)
@@ -43,12 +46,14 @@ class AblationSpec:
 
 
 @dataclass
-class SampleCache:
+class BatchForward:
+    """One batched forward pass: (B, ...) intermediates and stage caches."""
+
     proj: dict
     streams: list
     x_phy: Matrix
-    x_v: Matrix | None
-    plan: tp.TransportPlan | None
+    plans: tp.PlanBatch | None   # None when transport is off or plans were given
+    t: np.ndarray | None         # (B, n, m) couplings used
     transported: Matrix | None
     enc_phy_cache: object
     enc_v_cache: object
@@ -56,6 +61,18 @@ class SampleCache:
     pooled: Matrix | None
     lcdca_cache: object
     head_cache: object
+    pred: np.ndarray             # (B, labels)
+
+
+@dataclass(frozen=True)
+class SampleForward:
+    """One sample's intermediates, from a batch of one."""
+
+    x_phy: Matrix
+    plan: tp.TransportPlan | None
+    transported: Matrix | None
+    x_m: Matrix
+    pooled: Matrix | None
     pred: np.ndarray
 
 
@@ -164,13 +181,12 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def solve_plan(self, x_phy: Matrix, x_v: Matrix) -> tp.TransportPlan:
+    def solve_plans(self, x_phy: Matrix, x_v: Matrix) -> tp.PlanBatch:
         cfg = self.config
-        cost = tp.cost_matrix(x_phy, x_v)
-        return tp.sinkhorn(
-            cost,
-            tp.uniform_marginal(x_phy.shape[0]),
-            tp.uniform_marginal(x_v.shape[0]),
+        return tp.sinkhorn_batch(
+            tp.cost_matrix(x_phy, x_v),
+            tp.uniform_marginal(x_phy.shape[-2]),
+            tp.uniform_marginal(x_v.shape[-2]),
             cfg.sinkhorn_epsilon,
             cfg.sinkhorn_max_iter,
             cfg.sinkhorn_tol,
@@ -181,57 +197,62 @@ class Model:
             return None, None
         return ls.label_correlation_forward(self.label_attn.x_l.value)
 
-    def forward_sample(
+    def _stack(self, feature_dicts) -> dict[str, np.ndarray]:
+        """Per-modality (B, dim) feature arrays."""
+        return {
+            m.name: np.array(
+                [np.asarray(f[m.name], dtype=np.float64).reshape(-1)
+                 for f in feature_dicts]
+            )
+            for m in self.active_modalities
+        }
+
+    def _forward(
         self,
         features: dict[str, np.ndarray],
-        m_learn: Matrix | None = None,
-        plan: tp.TransportPlan | None = None,
-    ) -> SampleCache:
-        if self.use_lcdca and m_learn is None:
-            m_learn, _ = self._label_gram()
+        m_learn: Matrix | None,
+        t: np.ndarray | None = None,
+    ) -> BatchForward:
+        """The pipeline on (B, dim) features; `t` freezes the couplings."""
         proj_caches = {}
         tokens = {}
         for m in self.active_modalities:
-            tok, cache = att.project_modality_forward(
+            tokens[m.name], proj_caches[m.name] = att.project_modality_forward(
                 features[m.name], self.projections[m.name]
             )
-            tokens[m.name] = tok
-            proj_caches[m.name] = cache
         streams = []
         if self.use_capf:
-            q_tokens = tokens[self.query_modality]
             outs = []
             for kv in self.kv_modalities:
                 out, cache = att.cross_attend_forward(
-                    q_tokens, tokens[kv], kv, self.capf
+                    tokens[self.query_modality], tokens[kv], kv, self.capf
                 )
                 outs.append(out)
                 streams.append((kv, cache))
-            x_phy = np.concatenate(outs, axis=0)
+            x_phy = np.concatenate(outs, axis=-2)
         else:
-            x_phy = np.concatenate([tokens[m] for m in self.kv_modalities], axis=0)
+            x_phy = np.concatenate([tokens[m] for m in self.kv_modalities], axis=-2)
         x_v = tokens[self.behavioral] if self.behavioral else None
-        transported = None
+        plans = transported = enc_v_cache = None
         if self.behavioral:
             if self.use_othm:
-                if plan is None:
-                    plan = self.solve_plan(x_phy, x_v)
+                if t is None:
+                    plans = self.solve_plans(x_phy, x_v)
+                    t = plans.t
                 transported = tp.transport_tokens(
-                    x_phy, plan, rescale=self.config.rescale_transport
+                    x_phy, t, rescale=self.config.rescale_transport
                 )
             else:
-                plan = None
+                t = None
                 transported = x_phy
             e_phy, enc_phy_cache = att.transformer_encode_forward(
                 transported, self.enc_phy
             )
             e_v, enc_v_cache = att.transformer_encode_forward(x_v, self.enc_v)
-            x_m = np.concatenate([e_phy, e_v], axis=0)
+            x_m = np.concatenate([e_phy, e_v], axis=-2)
         else:
-            plan = None
-            e_phy, enc_phy_cache = att.transformer_encode_forward(x_phy, self.enc_phy)
-            enc_v_cache = None
-            x_m = e_phy
+            t = None
+            x_m, enc_phy_cache = att.transformer_encode_forward(x_phy, self.enc_phy)
         if self.use_lcdca:
             pooled = self.w_pool.value @ x_m
             x_o, lcdca_cache = ls.lcdca_forward(
@@ -243,12 +264,12 @@ class Model:
         pred, head_cache = ls.predict_head_forward(x_o, self.head)
         if not np.isfinite(pred).all():
             raise NumericalError("forward pass produced a non-finite prediction")
-        return SampleCache(
+        return BatchForward(
             proj=proj_caches,
             streams=streams,
             x_phy=x_phy,
-            x_v=x_v,
-            plan=plan,
+            plans=plans,
+            t=t,
             transported=transported,
             enc_phy_cache=enc_phy_cache,
             enc_v_cache=enc_v_cache,
@@ -259,8 +280,34 @@ class Model:
             pred=pred,
         )
 
+    def forward_sample(
+        self, features: dict[str, np.ndarray], plan: tp.TransportPlan | None = None
+    ) -> SampleForward:
+        """One sample through the batched forward; `plan` freezes its coupling."""
+        m_learn, _ = self._label_gram()
+        fwd = self._forward(
+            self._stack([features]), m_learn, None if plan is None else plan.t[None]
+        )
+        if fwd.t is None:
+            plan = None
+        elif plan is None:
+            plan = fwd.plans.plan(0)
+        return SampleForward(
+            x_phy=fwd.x_phy[0],
+            plan=plan,
+            transported=None if fwd.transported is None else fwd.transported[0],
+            x_m=fwd.x_m[0],
+            pooled=None if fwd.pooled is None else fwd.pooled[0],
+            pred=fwd.pred[0],
+        )
+
+    def predict_batch(self, feature_dicts) -> np.ndarray:
+        """(B, labels) predictions; row i equals predict(feature_dicts[i])."""
+        m_learn, _ = self._label_gram()
+        return self._forward(self._stack(feature_dicts), m_learn).pred
+
     def predict(self, features: dict[str, np.ndarray]) -> np.ndarray:
-        return self.forward_sample(features).pred
+        return self.predict_batch([features])[0]
 
     def label_correlation(self) -> Matrix:
         if not self.use_lcdca:
@@ -273,107 +320,82 @@ class Model:
         self,
         samples,
         m_gt: Matrix | None = None,
-        plans: list[tp.TransportPlan | None] | None = None,
+        plans: list[tp.TransportPlan] | None = None,
         compute_grads: bool = True,
     ):
         """Mean divergence over the batch plus the correlation penalty.
 
-        Returns (total, kld_mean, cc, caches).  When `compute_grads` is set,
+        Returns (total, kld_mean, cc, forward).  When `compute_grads` is set,
         parameter gradients are zeroed and repopulated for exactly this batch;
-        transport plans are constants throughout.
+        transport plans are constants throughout, and `plans` freezes them.
         """
         n = len(samples)
         if n == 0:
             raise ConfigurationError("batch must contain at least one sample")
         m_learn, gram_cache = self._label_gram()
+        labels = np.array([s.label for s in samples], dtype=np.float64)
         if self.use_lcdca and m_gt is None:
-            m_gt = ls.batch_label_correlation(
-                np.array([s.label for s in samples], dtype=np.float64)
-            )
-        caches = []
-        kld_sum = 0.0
-        for i, sample in enumerate(samples):
-            plan = plans[i] if plans is not None else None
-            cache = self.forward_sample(sample.features, m_learn=m_learn, plan=plan)
-            caches.append(cache)
-            kld_sum += ls.kld_loss(cache.pred, sample.label)
-        kld_mean = kld_sum / n
+            m_gt = ls.batch_label_correlation(labels)
+        t = None if plans is None else np.array([p.t for p in plans])
+        fwd = self._forward(self._stack([s.features for s in samples]), m_learn, t)
+        kld_mean = float(ls.kld_loss(fwd.pred, labels).sum()) / n
         cc = ls.cc_loss(m_learn, m_gt) if self.use_lcdca else 0.0
         total = ls.overall_loss(kld_mean, cc, self.config.lambda_cc)
         if not np.isfinite(total):
             raise DivergenceError(f"non-finite loss {total!r}")
         if compute_grads:
             self.zero_grads()
-            self._backward(samples, caches, m_learn, gram_cache, m_gt)
-        return total, kld_mean, cc, caches
+            self._backward(fwd, labels, m_learn, gram_cache, m_gt)
+        return total, kld_mean, cc, fwd
 
-    def _backward(self, samples, caches, m_learn, gram_cache, m_gt) -> None:
-        n = len(samples)
-        d_m_learn = (
-            np.zeros_like(m_learn) if self.use_lcdca else None
-        )
-        for sample, cache in zip(samples, caches):
-            dpred = ls.kld_loss_backward(cache.pred, sample.label) / n
-            d_x_o = ls.predict_head_backward(dpred, cache.head_cache, self.head)
-            if self.use_lcdca:
-                d_x_l, d_pooled, d_bias = ls.lcdca_backward(
-                    d_x_o, cache.lcdca_cache, self.label_attn
-                )
-                self.label_attn.x_l.grad += d_x_l
-                d_m_learn += d_bias
-                self.w_pool.grad += d_pooled @ cache.x_m.T
-                d_x_m = self.w_pool.value.T @ d_pooled
-            else:
-                d_x_m = d_x_o
-            if self.behavioral:
-                d_e_phy = d_x_m[: self.n_phy_tokens]
-                d_e_v = d_x_m[self.n_phy_tokens :]
-                d_x_v = att.transformer_encode_backward(
-                    d_e_v, cache.enc_v_cache, self.enc_v
-                )
-                d_transported = att.transformer_encode_backward(
-                    d_e_phy, cache.enc_phy_cache, self.enc_phy
-                )
-                if self.use_othm:
-                    scale = (
-                        float(cache.plan.t.shape[0])
-                        if self.config.rescale_transport
-                        else 1.0
-                    )
-                    d_x_phy = (scale * cache.plan.t).T @ d_transported
-                else:
-                    d_x_phy = d_transported
-            else:
-                d_x_v = None
-                d_x_phy = att.transformer_encode_backward(
-                    d_x_m, cache.enc_phy_cache, self.enc_phy
-                )
-            d_tokens = {m.name: None for m in self.active_modalities}
-            if self.use_capf:
-                c = self.config.tokens_per_modality
-                d_query = np.zeros_like(d_x_phy[:c])
-                for j, (kv, stream_cache) in enumerate(cache.streams):
-                    dq, dkv = att.cross_attend_backward(
-                        d_x_phy[j * c : (j + 1) * c], stream_cache, self.capf
-                    )
-                    d_query += dq
-                    d_tokens[kv] = dkv
-                d_tokens[self.query_modality] = d_query
-            else:
-                c = self.config.tokens_per_modality
-                for j, name in enumerate(self.kv_modalities):
-                    d_tokens[name] = d_x_phy[j * c : (j + 1) * c]
-            if self.behavioral:
-                d_tokens[self.behavioral] = d_x_v
-            for m in self.active_modalities:
-                if d_tokens[m.name] is not None:
-                    att.project_modality_backward(
-                        d_tokens[m.name], cache.proj[m.name], self.projections[m.name]
-                    )
+    def _backward(self, fwd: BatchForward, labels, m_learn, gram_cache, m_gt) -> None:
+        dpred = ls.kld_loss_backward(fwd.pred, labels) / len(labels)
+        d_x_o = ls.predict_head_backward(dpred, fwd.head_cache, self.head)
         if self.use_lcdca:
+            d_x_l, d_pooled, d_m_learn = ls.lcdca_backward(
+                d_x_o, fwd.lcdca_cache, self.label_attn
+            )
+            self.w_pool.grad += weight_grad(mT(d_pooled), mT(fwd.x_m))
+            d_x_m = self.w_pool.value.T @ d_pooled
             d_m_learn += self.config.lambda_cc * ls.cc_loss_backward(m_learn, m_gt)
+            self.label_attn.x_l.grad += d_x_l
             self.label_attn.x_l.grad += ls.label_correlation_backward(
                 d_m_learn, gram_cache
+            )
+        else:
+            d_x_m = d_x_o
+        if self.behavioral:
+            d_x_v = att.transformer_encode_backward(
+                d_x_m[:, self.n_phy_tokens :], fwd.enc_v_cache, self.enc_v
+            )
+            d_x_phy = att.transformer_encode_backward(
+                d_x_m[:, : self.n_phy_tokens], fwd.enc_phy_cache, self.enc_phy
+            )
+            if fwd.t is not None:
+                scale = float(fwd.t.shape[-2]) if self.config.rescale_transport else 1.0
+                d_x_phy = mT(scale * fwd.t) @ d_x_phy
+        else:
+            d_x_phy = att.transformer_encode_backward(
+                d_x_m, fwd.enc_phy_cache, self.enc_phy
+            )
+        c = self.config.tokens_per_modality
+        d_tokens = {}
+        if self.use_capf:
+            d_query = 0.0
+            for j, (kv, cache) in enumerate(fwd.streams):
+                dq, d_tokens[kv] = att.cross_attend_backward(
+                    d_x_phy[:, j * c : (j + 1) * c], cache, self.capf
+                )
+                d_query += dq
+            d_tokens[self.query_modality] = d_query
+        else:
+            for j, name in enumerate(self.kv_modalities):
+                d_tokens[name] = d_x_phy[:, j * c : (j + 1) * c]
+        if self.behavioral:
+            d_tokens[self.behavioral] = d_x_v
+        for m in self.active_modalities:
+            att.project_modality_backward(
+                d_tokens[m.name], fwd.proj[m.name], self.projections[m.name]
             )
 
 

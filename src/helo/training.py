@@ -1,23 +1,27 @@
 """Adam optimization, the epoch loop, and run artifacts.
 
 Training is single-threaded over batches with a seeded shuffle so identical
-configs produce byte-identical histories and checkpoints.  Evaluation fans
-out across worker threads (capped by HELO_THREADS) with results reduced in
-fixed sample order.
+configs produce byte-identical histories and checkpoints.  Evaluation runs
+the batched forward pass over chunks of `batch_size` samples; predictions
+do not depend on the chunking.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TrainConfig
 from .data import Sample, labels_matrix, schema_by_name
-from .errors import DimensionError, DivergenceError, NumericalError, SplitError
+from .errors import (
+    DimensionError,
+    DivergenceError,
+    NumericalError,
+    SplitError,
+    ValidationError,
+)
 from .labelspace import batch_label_correlation
 from .metrics import MetricVector, evaluate_set
 from .model import AblationSpec, Model
@@ -72,24 +76,13 @@ def adam_step(params, state: AdamState, lr: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def worker_count() -> int:
-    env = os.environ.get("HELO_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
-def predict_many(model: Model, samples: list[Sample]) -> list[np.ndarray]:
-    workers = worker_count()
-    if workers <= 1 or len(samples) < 2 * workers:
-        return [model.predict(s.features) for s in samples]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: model.predict(s.features), samples))
-
-
 def evaluate_model(model: Model, samples: list[Sample], indices) -> MetricVector:
     subset = [samples[i] for i in indices]
-    preds = predict_many(model, subset)
+    step = model.config.batch_size
+    preds: list[np.ndarray] = []
+    for start in range(0, len(subset), step):
+        chunk = subset[start : start + step]
+        preds.extend(model.predict_batch([s.features for s in chunk]))
     return evaluate_set(preds, [s.label for s in subset])
 
 
@@ -242,12 +235,31 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[Model, AdamState, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Rebuild the model, Adam state and split record saved at `path`.
+
+    A file that is not JSON, is cut short or lacks a field raises
+    ValidationError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise DimensionError(
             f"unsupported checkpoint format_version {doc.get('format_version')!r}"
         )
+    try:
+        return _restore_checkpoint(doc)
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint {path} lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"checkpoint {path} is malformed: {exc}") from None
+
+
+def _restore_checkpoint(doc: dict) -> tuple[Model, AdamState, dict]:
     config = TrainConfig.from_dict(doc["config"])
     ab = doc["ablation"]
     ablation = AblationSpec(

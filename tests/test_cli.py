@@ -185,3 +185,36 @@ def test_schema_file_path_flag(tmp_path):
     assert run(["generate", "--schema", str(schema_path), "--subjects", "2",
                 "--trials", "2", "--out", str(path)]) == 0
     assert len(path.read_text().strip().splitlines()) == 4
+
+
+def test_non_finite_config_values_exit_2(tmp_path, capsys):
+    data = gen(tmp_path, subjects=2, trials=4, seed=8)
+    out = tmp_path / "nan"
+    for flags in (["--learning-rate", "nan"], ["--set", "sinkhorn_epsilon=Infinity"]):
+        code = run(["train", "--data", str(data), "--out-dir", str(out),
+                    "--epochs", "1", *SMALL, *flags])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+    assert not (out / "history.csv").exists()
+
+
+def test_truncated_or_incomplete_checkpoint_exits_2(tmp_path, capsys):
+    data = gen(tmp_path, subjects=2, trials=5, seed=7)
+    out = tmp_path / "run4"
+    assert run(["train", "--data", str(data), "--out-dir", str(out),
+                "--epochs", "1", *SMALL]) == 0
+    text = (out / "checkpoint.json").read_text()
+    doc = json.loads(text)
+    del doc["params"]["head.w1"]
+    broken = {
+        "cut.json": text[:5000],
+        "empty.json": "",
+        "missing.json": json.dumps(doc),
+    }
+    capsys.readouterr()
+    for name, content in broken.items():
+        ckpt = tmp_path / name
+        ckpt.write_text(content)
+        assert run(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and "Traceback" not in err, name

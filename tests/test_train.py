@@ -172,15 +172,6 @@ def test_evaluate_model_matches_final_history_row(wesad_setup):
     )
 
 
-def test_single_thread_env_matches_default(wesad_setup, monkeypatch):
-    samples, _, te_idx = wesad_setup
-    model = Model(WESAD_SCHEMA, tiny_config(epochs=0))
-    default = evaluate_model(model, samples, te_idx)
-    monkeypatch.setenv("HELO_THREADS", "1")
-    serial = evaluate_model(model, samples, te_idx)
-    assert default == serial
-
-
 def test_adam_moment_shape_drift_rejected():
     params = scalar_params(0.0, 1.0)
     state = AdamState(m={"theta": np.zeros((2, 2))}, v={"theta": np.zeros((1, 1))})

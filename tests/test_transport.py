@@ -141,7 +141,7 @@ def test_violation_csv_roundtrip(tmp_path):
 def test_uniform_plan_averages_tokens():
     x = np.random.default_rng(2).normal(size=(4, 3))
     plan = sinkhorn(np.zeros((4, 4)), uniform_marginal(4), uniform_marginal(4), 0.1)
-    moved = transport_tokens(x, plan, rescale=False)
+    moved = transport_tokens(x, plan.t, rescale=False)
     np.testing.assert_allclose(moved, np.tile(x.mean(axis=0) / 4.0, (4, 1)), atol=1e-9)
 
 
@@ -151,7 +151,7 @@ def test_identity_like_plan_preserves_tokens_up_to_scale():
         2.0 - 2.0 * np.eye(3), uniform_marginal(3), uniform_marginal(3), epsilon=0.005,
         max_iter=5000,
     )
-    moved = transport_tokens(x, plan, rescale=True)
+    moved = transport_tokens(x, plan.t, rescale=True)
     np.testing.assert_allclose(moved, x, atol=1e-2)
 
 
