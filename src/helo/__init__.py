@@ -11,7 +11,7 @@ from .data import (
     save_dataset,
 )
 from .metrics import MetricVector, average_rank, evaluate_set, metric_vector
-from .model import AblationSpec, Model, build_ablated, build_model
+from .model import AblationSpec, Model
 from .training import evaluate_model, train
 from .transport import TransportPlan, sinkhorn
 
@@ -29,8 +29,6 @@ __all__ = [
     "WESAD_SCHEMA",
     "__version__",
     "average_rank",
-    "build_ablated",
-    "build_model",
     "evaluate_model",
     "evaluate_set",
     "generate_synthetic",

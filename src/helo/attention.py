@@ -36,12 +36,6 @@ LN_EPS = 1e-5
 
 
 @dataclass
-class ModalityTokens:
-    modality: str
-    tokens: Matrix
-
-
-@dataclass
 class ModalityProjection:
     """Maps one flat feature vector to a grid of embedding tokens.
 
@@ -129,11 +123,6 @@ def project_modality_backward(dtokens: Matrix, cache, proj: ModalityProjection) 
     proj.w.grad += weight_grad(grid, dprojected)
 
 
-def project_modality(raw: np.ndarray, proj: ModalityProjection) -> ModalityTokens:
-    tokens, _ = project_modality_forward(raw, proj)
-    return ModalityTokens(modality=proj.modality, tokens=tokens)
-
-
 # ---------------------------------------------------------------------------
 # multi-head attention kernel
 # ---------------------------------------------------------------------------
@@ -172,13 +161,6 @@ def multi_head_backward(dout: Matrix, cache):
     return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
 
-def attention_weights(q: Matrix, k: Matrix, heads: int) -> list[Matrix]:
-    """Diagnostics hook: the per-head attention maps for given projections."""
-    scale = 1.0 / np.sqrt(q.shape[-1] / heads)
-    logits = _split_heads(q, heads) @ mT(_split_heads(k, heads))
-    return list(softmax_rows(logits * scale))
-
-
 # ---------------------------------------------------------------------------
 # cross-attention block
 # ---------------------------------------------------------------------------
@@ -190,6 +172,8 @@ def cross_attend_forward(
     modality: str,
     params: CrossAttentionParams,
 ):
+    """Query one modality against another; adds the normalized key/value
+    stream back as the residual."""
     if query_tokens.shape[-1] != kv_tokens.shape[-1]:
         raise DimensionError(
             f"query width {query_tokens.shape[-1]} != key/value width "
@@ -222,28 +206,6 @@ def cross_attend_backward(dout: Matrix, cache, params: CrossAttentionParams):
     params.ln_gamma.grad += dgamma
     params.ln_beta.grad += dbeta
     return dquery, dkv + dln
-
-
-def cross_attend(
-    query_src: ModalityTokens,
-    kv_src: ModalityTokens,
-    params: CrossAttentionParams,
-) -> Matrix:
-    """Query one modality against another; adds the normalized key/value
-    stream back as the residual."""
-    out, _ = cross_attend_forward(
-        query_src.tokens, kv_src.tokens, kv_src.modality, params
-    )
-    return out
-
-
-def fuse_physio(x_eg: Matrix, x_ep: Matrix) -> Matrix:
-    """Stack the two cross-modal streams along the token axis."""
-    if x_eg.shape[-1] != x_ep.shape[-1]:
-        raise DimensionError(
-            f"fuse_physio widths differ: {x_eg.shape[-1]} vs {x_ep.shape[-1]}"
-        )
-    return np.concatenate([x_eg, x_ep], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +259,7 @@ def _encoder_layer_backward(dout: Matrix, cache, layer: EncoderLayerParams, head
 
 
 def transformer_encode_forward(x: Matrix, params: EncoderParams):
+    """Pre-norm self-attention + feed-forward blocks, shape preserving."""
     caches = []
     out = x
     for layer in params.layers:
@@ -310,12 +273,6 @@ def transformer_encode_backward(dout: Matrix, caches, params: EncoderParams) -> 
     for layer, cache in zip(reversed(params.layers), reversed(caches)):
         dx = _encoder_layer_backward(dx, cache, layer, params.heads)
     return dx
-
-
-def transformer_encode(x: Matrix, params: EncoderParams) -> Matrix:
-    """Pre-norm self-attention + feed-forward blocks, shape preserving."""
-    out, _ = transformer_encode_forward(x, params)
-    return out
 
 
 # ---------------------------------------------------------------------------

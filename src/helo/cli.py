@@ -18,6 +18,7 @@ from .data import (
     DatasetSchema,
     generate_synthetic,
     load_dataset,
+    load_json_object,
     load_schema,
     save_dataset,
     schema_by_name,
@@ -57,12 +58,17 @@ def _resolve_schema(value: str) -> DatasetSchema:
 
 def _infer_schema(path) -> DatasetSchema:
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            shape = {k: len(v) for k, v in doc.get("features", {}).items()}
+            try:
+                doc = json.loads(line)
+                shape = {k: len(v) for k, v in doc.get("features", {}).items()}
+            except (ValueError, AttributeError, TypeError) as exc:
+                raise ValidationError(
+                    f"{path} line {line_no}: not a dataset record ({exc})"
+                ) from None
             for schema in SCHEMAS.values():
                 if shape == {m.name: m.dim for m in schema.modalities}:
                     return schema
@@ -75,8 +81,7 @@ def _infer_schema(path) -> DatasetSchema:
 def _load_config(args) -> TrainConfig:
     doc = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = load_json_object(args.config, "config")
     config = TrainConfig.from_dict(doc)
     overrides = {}
     for flag in ("epochs", "batch_size", "learning_rate", "lambda_cc", "seed"):
@@ -89,7 +94,10 @@ def _load_config(args) -> TrainConfig:
             raise ValidationError(f"--set expects key=value, got {item!r}")
         if key not in TrainConfig.__dataclass_fields__:
             raise ValidationError(f"unknown config key {key!r}")
-        overrides[key] = json.loads(raw)
+        try:
+            overrides[key] = json.loads(raw)
+        except ValueError:
+            raise ValidationError(f"--set {key}: {raw!r} is not a JSON value") from None
     return config.with_overrides(**overrides) if overrides else config
 
 
@@ -245,14 +253,17 @@ def _cmd_report(args) -> int:
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
-        header = lines[0].split(",")
-        if header[0] != "method" or set(header[1:]) != set(METRIC_NAMES):
+        header = lines[0].split(",") if lines else []
+        if header[:1] != ["method"] or set(header[1:]) != set(METRIC_NAMES):
             raise ValidationError(f"{path}: not an evaluation CSV")
         for line in lines[1:]:
             cells = line.split(",")
-            scores[cells[0]] = {
-                name: float(value) for name, value in zip(header[1:], cells[1:])
-            }
+            try:
+                scores[cells[0]] = {
+                    name: float(value) for name, value in zip(header[1:], cells[1:])
+                }
+            except ValueError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
     table = average_rank(scores)
     text = render_rank_text(table)
     print(text, end="")

@@ -10,6 +10,20 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from .errors import ConfigurationError
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The values each field annotation admits; an int is a valid float.
+_ADMITS = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+    "dict[str, int]": lambda v: isinstance(v, dict)
+    and all(isinstance(k, str) and _is_int(c) for k, c in v.items()),
+}
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
@@ -34,6 +48,8 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         for f in fields(self):
             value = getattr(self, f.name)
+            if not _ADMITS[f.type](value):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
         positives = (

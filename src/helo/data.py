@@ -48,10 +48,6 @@ class DatasetSchema:
         return len(self.label_names)
 
     @property
-    def physiological(self) -> tuple[Modality, ...]:
-        return tuple(m for m in self.modalities if m.group == PHYSIOLOGICAL)
-
-    @property
     def behavioral(self) -> Modality:
         behav = [m for m in self.modalities if m.group == BEHAVIORAL]
         if len(behav) != 1:
@@ -59,12 +55,6 @@ class DatasetSchema:
                 f"schema {self.name!r} must have exactly one behavioral modality"
             )
         return behav[0]
-
-    def modality(self, name: str) -> Modality:
-        for m in self.modalities:
-            if m.name == name:
-                return m
-        raise ValidationError(f"schema {self.name!r} has no modality {name!r}")
 
 
 DMER_SCHEMA = DatasetSchema(
@@ -134,21 +124,38 @@ def save_schema(schema: DatasetSchema, path) -> None:
         fh.write("\n")
 
 
+def load_json_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`; anything else raises
+    ValidationError naming `what` and the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} {path} is not a JSON object")
+    return doc
+
+
 def load_schema(path) -> DatasetSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json_object(path, "schema")
     if doc.get("format_version") != SCHEMA_FORMAT_VERSION:
         raise ValidationError(
             f"unsupported schema format_version {doc.get('format_version')!r}"
         )
-    schema = DatasetSchema(
-        name=doc["name"],
-        modalities=tuple(
-            Modality(m["name"], int(m["dim"]), m["group"])
-            for m in doc["modalities"]
-        ),
-        label_names=tuple(doc["label_names"]),
-    )
+    try:
+        schema = DatasetSchema(
+            name=doc["name"],
+            modalities=tuple(
+                Modality(m["name"], int(m["dim"]), m["group"])
+                for m in doc["modalities"]
+            ),
+            label_names=tuple(doc["label_names"]),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"schema {path} lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"schema {path} is malformed: {exc}") from None
     schema.behavioral  # validates the one-behavioral invariant
     return schema
 
@@ -163,27 +170,6 @@ class Sample:
 
 def labels_matrix(samples: list[Sample]) -> np.ndarray:
     return np.array([s.label for s in samples], dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# score-to-distribution conversion
-# ---------------------------------------------------------------------------
-
-
-def panas_to_distribution(scores, mode: str = "normalize") -> np.ndarray:
-    """Turn 1-5 self-report scores into a distribution.
-
-    `normalize` divides by the score sum; `softmax` exponentiates first.
-    """
-    arr = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if ((arr < 1.0) | (arr > 5.0)).any():
-        raise ValidationError(f"scores must lie in [1, 5], got {arr.tolist()}")
-    if mode == "normalize":
-        return arr / arr.sum()
-    if mode == "softmax":
-        e = np.exp(arr - arr.max())
-        return e / e.sum()
-    raise ValidationError(f"unknown score transform {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +314,18 @@ def load_dataset(path, schema: DatasetSchema) -> list[Sample]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"line {line_no}: invalid JSON ({exc})") from None
-            samples.append(_parse_record(doc, schema, line_no))
+            try:
+                samples.append(_parse_record(doc, schema, line_no))
+            except (AttributeError, TypeError, ValueError, IndexError) as exc:
+                raise ValidationError(
+                    f"line {line_no}: malformed record ({exc})"
+                ) from None
     return samples
 
 
 # ---------------------------------------------------------------------------
 # split protocols
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    mode: str
-    seed: int | None
-    folds: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _indices_by_subject(samples: list[Sample]) -> dict[int, list[int]]:
@@ -388,17 +372,3 @@ def split_loso(
         train = tuple(sorted(all_idx - set(test)))
         folds.append((train, test))
     return folds
-
-
-def subject_dependent_plan(
-    samples: list[Sample], ratio: float = 0.8, seed: int = 0
-) -> SplitPlan:
-    return SplitPlan(
-        mode="subject_dependent",
-        seed=seed,
-        folds=(split_subject_dependent(samples, ratio, seed),),
-    )
-
-
-def loso_plan(samples: list[Sample]) -> SplitPlan:
-    return SplitPlan(mode="loso", seed=None, folds=tuple(split_loso(samples)))

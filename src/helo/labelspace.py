@@ -107,6 +107,8 @@ def cc_loss_backward(m_learn: Matrix, m_gt: Matrix) -> Matrix:
 def lcdca_forward(
     x_l: Matrix, x_m: Matrix, m_learn: Matrix, params: LabelAttentionParams
 ):
+    """Attention from label embeddings onto pooled tokens, with the learned
+    correlation matrix added to the logits before the softmax."""
     n_labels, d = x_l.shape
     if x_m.shape[-2] != n_labels:
         raise ConfigurationError(
@@ -145,21 +147,17 @@ def lcdca_backward(dout: Matrix, cache, params: LabelAttentionParams):
     return d_x_l, d_x_m, dlogits.reshape(-1, *dlogits.shape[-2:]).sum(axis=0)
 
 
-def lcdca(
-    x_l: Matrix, x_m: Matrix, m_learn: Matrix, params: LabelAttentionParams
-) -> Matrix:
-    """Attention from label embeddings onto pooled tokens, with the learned
-    correlation matrix added to the logits before the softmax."""
-    out, _ = lcdca_forward(x_l, x_m, m_learn, params)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # prediction head
 # ---------------------------------------------------------------------------
 
 
 def predict_head_forward(x_o: Matrix, params: PredictionHeadParams):
+    """Mean-pool the label-attended tokens and map through the MLP + softmax.
+
+    Each sample's pooled row goes through the MLP as its own 1-row product,
+    so a prediction does not depend on the batch it was computed in.
+    """
     pooled, n_rows = mean_rows_forward(x_o)
     h1_pre, c1 = affine_forward(pooled, params.w1.value, params.b1.value)
     h1 = tanh_forward(h1_pre)
@@ -185,16 +183,6 @@ def predict_head_backward(dprobs: np.ndarray, cache, params: PredictionHeadParam
     params.w1.grad += dw1
     params.b1.grad += db1
     return mean_rows_backward(dpooled, n_rows)
-
-
-def predict_head(x_o: Matrix, params: PredictionHeadParams) -> np.ndarray:
-    """Mean-pool the label-attended tokens and map through the MLP + softmax.
-
-    Each sample's pooled row goes through the MLP as its own 1-row product,
-    so a prediction does not depend on the batch it was computed in.
-    """
-    probs, _ = predict_head_forward(x_o, params)
-    return probs
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ per seed.  Weight gradients are summed over the batch by one fused product.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +26,6 @@ Matrix = np.ndarray
 
 # Below this magnitude, gradient-check errors are reported absolutely.
 GRAD_ABS_FLOOR = 1e-8
-
-
-class DegenerateRowWarning(UserWarning):
-    """A zero-norm row was mapped to similarity 0 in a cosine computation."""
 
 
 def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
@@ -70,22 +65,6 @@ def bias_grad(dout: np.ndarray) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with explicit shape checking."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: ({a.shape[0]}x{a.shape[1]}) x "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    return check_finite(a @ b, "matmul")
-
-
-def matmul_backward(dout: Matrix, a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
-    return dout @ b.T, a.T @ dout
-
-
 def softmax_rows(x: Matrix) -> Matrix:
     """Row-wise softmax with per-row max subtraction for overflow safety."""
     e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
@@ -99,9 +78,10 @@ def softmax_rows_backward(dout: Matrix, out: Matrix) -> Matrix:
 
 
 def layer_norm_forward(x: Matrix, gamma: Matrix, beta: Matrix, eps: float):
+    """Per-row normalization to zero mean / unit variance, then scale and shift."""
     if gamma.shape != (1, x.shape[-1]) or beta.shape != (1, x.shape[-1]):
         raise DimensionError(
-            f"layer_norm scale/shift must be 1x{x.shape[-1]}, "
+            f"layer norm scale/shift must be 1x{x.shape[-1]}, "
             f"got {gamma.shape} and {beta.shape}"
         )
     xc = x - _row_mean(x)
@@ -118,14 +98,6 @@ def layer_norm_backward(dout: Matrix, cache) -> tuple[Matrix, Matrix, Matrix]:
     dxhat = dout * gamma
     dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
     return dx, dgamma, dbeta
-
-
-def layer_norm(x: Matrix, gamma: Matrix, beta: Matrix, eps: float = 1e-5) -> Matrix:
-    """Per-row normalization to zero mean / unit variance, then scale and shift."""
-    if eps < 0.0:
-        raise ConfigurationError("layer_norm eps must be >= 0")
-    out, _ = layer_norm_forward(x, gamma, beta, eps)
-    return check_finite(out, "layer_norm")
 
 
 # tanh keeps the composed loss smooth, so finite-difference gradient checks
@@ -159,26 +131,18 @@ def cosine_rows_flagged(a: Matrix, b: Matrix) -> tuple[Matrix, bool]:
 
     Zero-norm rows contribute similarity 0 instead of NaN so downstream
     losses stay total.  The similarity matrix is built by an elementwise
-    product reduced over the feature axis, which makes cosine_rows(a, b)
-    bitwise equal to cosine_rows(b, a).T.  Leading axes are a batch.
+    product reduced over the feature axis, which makes the similarities of
+    (a, b) bitwise equal to the transpose of those of (b, a).  Leading axes
+    are a batch.
     """
     if a.shape[-1] != b.shape[-1]:
         raise DimensionError(
-            f"cosine_rows feature widths differ: {a.shape} vs {b.shape}"
+            f"cosine similarity feature widths differ: {a.shape} vs {b.shape}"
         )
     ya, _, dega = _normalize_rows(a)
     yb, _, degb = _normalize_rows(b)
     sim = (ya[..., :, None, :] * yb[..., None, :, :]).sum(axis=-1)
     return np.clip(sim, -1.0, 1.0), dega or degb
-
-
-def cosine_rows(a: Matrix, b: Matrix) -> Matrix:
-    sim, degenerate = cosine_rows_flagged(a, b)
-    if degenerate:
-        warnings.warn(
-            "zero-norm row in cosine similarity mapped to 0", DegenerateRowWarning
-        )
-    return sim
 
 
 def cosine_gram_forward(x: Matrix):
@@ -235,9 +199,6 @@ class Parameter:
         self.grad[...] = 0.0
 
 
-ParamDict = dict[str, Parameter]
-
-
 class Rng:
     """Counter-based random source: identical seeds give identical sequences."""
 
@@ -248,18 +209,9 @@ class Rng:
     def normal(self, rows: int, cols: int, scale: float = 1.0) -> Matrix:
         return self._gen.normal(0.0, scale, size=(rows, cols))
 
-    def uniform(self, low: float, high: float, rows: int, cols: int) -> Matrix:
-        return self._gen.uniform(low, high, size=(rows, cols))
-
     def glorot(self, rows: int, cols: int) -> Matrix:
         limit = np.sqrt(6.0 / (rows + cols))
         return self._gen.uniform(-limit, limit, size=(rows, cols))
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def integers(self, low: int, high: int, size: int) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +219,7 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-def grad_check(loss_fn, params: ParamDict, eps: float = 1e-5) -> float:
+def grad_check(loss_fn, params: dict[str, Parameter], eps: float = 1e-5) -> float:
     """Worst relative error between stored analytic grads and central differences.
 
     `loss_fn(params)` must be a deterministic pure function of the parameter

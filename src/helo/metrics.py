@@ -2,7 +2,9 @@
 
 Four distances (Chebyshev, Clark, Canberra, KL) and two similarities
 (cosine, intersection), averaged per evaluation set, plus the mean-rank
-table used to compare methods across all six measures.
+table used to compare methods across all six measures.  KL is the training
+loss `labelspace.kld_loss`, so evaluation and training smooth distributions
+the same way.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptySetError, IncompleteTableError
-
-KL_SMOOTHING = 1e-8
+from .labelspace import kld_loss
 
 METRIC_NAMES = ("chebyshev", "clark", "canberra", "kl", "cosine", "intersection")
 # True where a larger score is better.
@@ -47,11 +48,6 @@ class MetricVector:
         )
 
 
-def _smooth(p: np.ndarray) -> np.ndarray:
-    q = p + KL_SMOOTHING
-    return q / q.sum()
-
-
 def metric_vector(pred, truth) -> MetricVector:
     """All six measures for one prediction / ground-truth pair."""
     pred = np.asarray(pred, dtype=np.float64).reshape(-1)
@@ -66,13 +62,12 @@ def metric_vector(pred, truth) -> MetricVector:
     safe = np.where(denom == 0.0, 1.0, denom)
     clark_terms = np.where(denom == 0.0, 0.0, (truth - pred) ** 2 / safe**2)
     canberra_terms = np.where(denom == 0.0, 0.0, diff / safe)
-    ps, ts = _smooth(pred), _smooth(truth)
     norm = np.sqrt((truth * truth).sum()) * np.sqrt((pred * pred).sum())
     return MetricVector(
         chebyshev=float(diff.max()),
         clark=float(np.sqrt(clark_terms.sum())),
         canberra=float(canberra_terms.sum()),
-        kl=float((ts * np.log(ts / ps)).sum()),
+        kl=kld_loss(pred, truth),
         cosine=float((truth * pred).sum() / norm) if norm > 0.0 else 0.0,
         intersection=float(np.minimum(truth, pred).sum()),
     )

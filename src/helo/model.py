@@ -116,7 +116,6 @@ class Model:
             self.query_modality = None
             self.kv_modalities = [m.name for m in phys]
             self.n_phy_tokens = c * len(phys)
-        self.physiological = [m.name for m in phys]
         self.use_othm = (not ab.disable_othm) and self.behavioral is not None
         self.n_v_tokens = self.n_phy_tokens if self.behavioral else 0
         self.n_fused = self.n_phy_tokens + self.n_v_tokens
@@ -397,21 +396,6 @@ class Model:
             att.project_modality_backward(
                 d_tokens[m.name], fwd.proj[m.name], self.projections[m.name]
             )
-
-
-def build_model(
-    schema: DatasetSchema,
-    config: TrainConfig,
-    ablation: AblationSpec | None = None,
-) -> Model:
-    return Model(schema, config, ablation)
-
-
-def build_ablated(
-    schema: DatasetSchema, config: TrainConfig, ablation: AblationSpec
-) -> Model:
-    """A model with the requested components replaced or modalities dropped."""
-    return Model(schema, config, ablation)
 
 
 def ablation_grid(schema: DatasetSchema) -> list[AblationSpec]:

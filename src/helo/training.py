@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .data import Sample, labels_matrix, schema_by_name
+from .data import Sample, labels_matrix, load_json_object, schema_by_name
 from .errors import (
     DimensionError,
     DivergenceError,
@@ -240,13 +240,7 @@ def load_checkpoint(path) -> tuple[Model, AdamState, dict]:
     A file that is not JSON, is cut short or lacks a field raises
     ValidationError naming the file.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"checkpoint {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"checkpoint {path} is not a JSON object")
+    doc = load_json_object(path, "checkpoint")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise DimensionError(
             f"unsupported checkpoint format_version {doc.get('format_version')!r}"

@@ -232,30 +232,6 @@ def transport_tokens(x_phy: Matrix, t: np.ndarray, rescale: bool = True) -> Matr
     return (scale * t) @ x_phy
 
 
-def othm_fuse(
-    x_phy: Matrix,
-    x_v: Matrix,
-    plan: TransportPlan,
-    enc_phy,
-    enc_v,
-    rescale: bool = True,
-) -> Matrix:
-    """Encode the transported physiological stream and the behavioral stream,
-    stacked along the token axis.  The plan is a constant here: gradients
-    never flow through the Sinkhorn iterations."""
-    from .attention import transformer_encode
-
-    if x_phy.shape[1] != x_v.shape[1]:
-        raise DimensionError(
-            f"token widths differ: {x_phy.shape[1]} vs {x_v.shape[1]}"
-        )
-    transported = transport_tokens(x_phy, plan.t, rescale=rescale)
-    return np.concatenate(
-        [transformer_encode(transported, enc_phy), transformer_encode(x_v, enc_v)],
-        axis=0,
-    )
-
-
 def write_violation_csv(plan: TransportPlan, path) -> None:
     """Dump the per-iteration marginal violations as (iteration, violation)."""
     lines = ["iteration,violation"]

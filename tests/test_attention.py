@@ -2,24 +2,20 @@ import numpy as np
 import pytest
 
 from helo.attention import (
+    LN_EPS,
     CrossAttentionParams,
-    ModalityTokens,
-    attention_weights,
-    cross_attend,
     cross_attend_backward,
     cross_attend_forward,
-    fuse_physio,
     init_cross_attention,
     init_encoder,
     init_projection,
-    project_modality,
+    multi_head_forward,
     project_modality_forward,
-    transformer_encode,
     transformer_encode_backward,
     transformer_encode_forward,
 )
-from helo.errors import ConfigurationError, DimensionError
-from helo.linalg import Parameter, Rng, grad_check, layer_norm
+from helo.errors import ConfigurationError
+from helo.linalg import Parameter, Rng, grad_check, layer_norm_forward
 
 
 def identity_param(name, n):
@@ -28,6 +24,12 @@ def identity_param(name, n):
 
 def zeros_param(name, rows, cols):
     return Parameter(name, np.zeros((rows, cols)))
+
+
+def normalized_residual(kv, params):
+    """The key/value stream as cross_attend_forward adds it back."""
+    out, _ = layer_norm_forward(kv, params.ln_gamma.value, params.ln_beta.value, LN_EPS)
+    return out
 
 
 def single_head_identity_params(d, modality="m"):
@@ -52,9 +54,8 @@ def test_projection_identity_case():
     proj.mix.value[...] = np.eye(2)
     proj.bias.value[...] = 0.0
     raw = np.arange(6.0)
-    out = project_modality(raw, proj)
-    np.testing.assert_array_equal(out.tokens, raw.reshape(2, 3))
-    assert out.modality == "eeg"
+    tokens, _ = project_modality_forward(raw, proj)
+    np.testing.assert_array_equal(tokens, raw.reshape(2, 3))
 
 
 def test_projection_shapes_for_eeg_layout():
@@ -87,10 +88,8 @@ def test_cross_attend_saturated_softmax_selects_one_value():
     kv[0, 0] = kv[1, 1] = kv[2, 2] = 1.0  # orthogonal keys (= values)
     query = np.zeros((3, d))
     query[0, 1] = 50.0  # saturates row 0 onto key 1
-    out = cross_attend(
-        ModalityTokens("e", query), ModalityTokens("m", kv), params
-    )
-    residual = layer_norm(kv, params.ln_gamma.value, params.ln_beta.value)
+    out = cross_attend_forward(query, kv, "m", params)[0]
+    residual = normalized_residual(kv, params)
     np.testing.assert_allclose(out[0], kv[1] + residual[0], atol=1e-6)
 
 
@@ -105,7 +104,7 @@ def test_cross_attend_convexity_with_identical_values():
     v = rng.normal(1, d)
     kv = np.tile(v, (4, 1))
     query = rng.normal(4, d)
-    out = cross_attend(ModalityTokens("e", query), ModalityTokens("m", kv), params)
+    out = cross_attend_forward(query, kv, "m", params)[0]
     np.testing.assert_allclose(out, np.tile(v, (4, 1)), atol=1e-12)
 
 
@@ -116,21 +115,20 @@ def test_cross_attend_permutation_equivariance():
     query = rng.normal(5, d)
     kv = rng.normal(5, d)
     perm = [3, 0, 4, 1, 2]
-    residual = layer_norm(kv, params.ln_gamma.value, params.ln_beta.value)
-    residual_p = layer_norm(kv[perm], params.ln_gamma.value, params.ln_beta.value)
-    out = cross_attend(ModalityTokens("e", query), ModalityTokens("m", kv), params)
-    out_p = cross_attend(
-        ModalityTokens("e", query), ModalityTokens("m", kv[perm]), params
-    )
+    residual = normalized_residual(kv, params)
+    residual_p = normalized_residual(kv[perm], params)
+    out = cross_attend_forward(query, kv, "m", params)[0]
+    out_p = cross_attend_forward(query, kv[perm], "m", params)[0]
     np.testing.assert_allclose(out - residual, out_p - residual_p, atol=1e-9)
     np.testing.assert_allclose(residual[perm], residual_p, atol=1e-12)
 
 
 def test_attention_weights_rows_sum_to_one():
     rng = Rng(11)
-    q, k = rng.normal(6, 8), rng.normal(7, 8)
-    for attn in attention_weights(q, k, heads=4):
-        np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
+    q, k, v = rng.normal(6, 8), rng.normal(7, 8), rng.normal(7, 8)
+    _, (attn, *_) = multi_head_forward(q, k, v, heads=4)
+    assert attn.shape == (4, 6, 7)
+    np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_attention_logit_scale_keeps_unit_std():
@@ -185,33 +183,6 @@ def test_cross_attend_gradients_match_finite_differences():
     assert grad_check(loss, registry, eps=1e-5) <= 1e-6
 
 
-# -- physiological fusion ---------------------------------------------------------
-
-
-def test_fuse_physio_concatenation_order():
-    a = np.arange(6.0).reshape(2, 3)
-    b = 10.0 + np.arange(6.0).reshape(2, 3)
-    fused = fuse_physio(a, b)
-    np.testing.assert_array_equal(fused, np.vstack([a, b]))
-
-
-def test_fuse_physio_duplication():
-    x = np.random.default_rng(0).normal(size=(3, 4))
-    fused = fuse_physio(x, x)
-    np.testing.assert_array_equal(fused[:3], fused[3:])
-
-
-def test_fuse_physio_row_count():
-    for c in range(1, 9):
-        x = np.zeros((c, 2))
-        assert fuse_physio(x, x).shape == (2 * c, 2)
-
-
-def test_fuse_physio_width_mismatch():
-    with pytest.raises(DimensionError):
-        fuse_physio(np.zeros((2, 3)), np.zeros((2, 4)))
-
-
 # -- transformer encoder -----------------------------------------------------------
 
 
@@ -222,22 +193,22 @@ def test_encoder_zero_weights_is_identity():
         for p in (layer.w_q, layer.w_k, layer.w_v, layer.w_o, layer.w_ff1, layer.w_ff2):
             p.value[...] = 0.0
     x = Rng(32).normal(5, 6)
-    np.testing.assert_array_equal(transformer_encode(x, enc), x)
+    np.testing.assert_array_equal(transformer_encode_forward(x, enc)[0], x)
 
 
 def test_encoder_preserves_shape_across_depths():
     for depth in (1, 2, 3):
         enc = init_encoder(Rng(depth), 8, 6, depth=depth, heads=2, prefix="e")
         x = Rng(100 + depth).normal(7, 8)
-        assert transformer_encode(x, enc).shape == x.shape
+        assert transformer_encode_forward(x, enc)[0].shape == x.shape
 
 
 def test_encoder_deterministic():
     enc = init_encoder(Rng(41), 8, 6, depth=2, heads=4, prefix="e")
     x = Rng(42).normal(5, 8)
-    np.testing.assert_array_equal(
-        transformer_encode(x, enc), transformer_encode(x, enc)
-    )
+    first, _ = transformer_encode_forward(x, enc)
+    second, _ = transformer_encode_forward(x, enc)
+    np.testing.assert_array_equal(first, second)
 
 
 def test_encoder_gradients_match_finite_differences():

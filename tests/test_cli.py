@@ -1,9 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
 from helo.cli import run
 from helo.data import DMER_SCHEMA, WESAD_SCHEMA, load_dataset
+from helo.metrics import METRIC_NAMES
 
 SMALL = [
     "--set", "embed_dim=8",
@@ -218,3 +220,70 @@ def test_truncated_or_incomplete_checkpoint_exits_2(tmp_path, capsys):
         assert run(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and "Traceback" not in err, name
+
+
+def _eval_csv(rows):
+    return "method," + ",".join(METRIC_NAMES) + "\n" + "".join(r + "\n" for r in rows)
+
+
+# (files to write, command and flags, text stderr must name)
+BAD_INPUTS = {
+    "cut_first_line": ({"d.jsonl": '{"subject": 0, "feat'}, ["train"], "d.jsonl"),
+    "schema_not_json": (
+        {"s.json": "not json"}, ["train", "--schema", "s.json"], "s.json"
+    ),
+    "schema_lacks_modalities": (
+        {"s.json": '{"format_version": 1, "name": "x"}'},
+        ["train", "--schema", "s.json"],
+        "modalities",
+    ),
+    "config_not_json": (
+        {"c.json": "{epochs: 3"}, ["train", "--config", "c.json"], "c.json"
+    ),
+    "set_not_json": ({}, ["train", "--set", "epochs=abc"], "epochs"),
+    "set_str_for_int": ({}, ["train", "--set", 'epochs="3"'], "epochs"),
+    "set_float_for_int": ({}, ["train", "--set", "epochs=2.0"], "epochs"),
+    "set_int_for_bool": (
+        {}, ["train", "--set", "rescale_transport=1"], "rescale_transport"
+    ),
+    "set_str_channels": (
+        {}, ["train", "--set", 'modality_channels={"ecg": "2"}'], "modality_channels"
+    ),
+    "record_features_not_object": (
+        {"d.jsonl": '{"subject": 0, "trial": 0, "features": [], "label": []}'},
+        ["train", "--schema", "wesad"],
+        "line 1",
+    ),
+    "record_value_not_number": (
+        {"d.jsonl": '{"subject": 0, "trial": 0, "features": {"ecg": "x"}, "label": []}'},
+        ["train", "--schema", "wesad"],
+        "line 1",
+    ),
+    "report_empty_csv": ({"e.csv": ""}, ["report", "e.csv"], "e.csv"),
+    "report_not_a_number": (
+        {"e.csv": _eval_csv(["full,0.1,0.2,0.3,0.4,0.5,abc"])},
+        ["report", "e.csv"],
+        "e.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_outside_input_exits_2_without_traceback(tmp_path, capsys, case):
+    files, argv, named = BAD_INPUTS[case]
+    data = gen(tmp_path, subjects=2, trials=5)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    if argv[0] == "train":
+        if "d.jsonl" in files:
+            data = tmp_path / "d.jsonl"
+        # the case's own flags come last, so they win over SMALL
+        out = ["--data", str(data), "--out-dir", str(tmp_path / "out"), *SMALL]
+        argv = argv[:1] + out + argv[1:]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
+    assert not (tmp_path / "out" / "history.csv").exists()

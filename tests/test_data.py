@@ -9,8 +9,6 @@ from helo.data import (
     generate_synthetic,
     load_dataset,
     load_schema,
-    loso_plan,
-    panas_to_distribution,
     planted_cluster_indices,
     planted_correlation,
     save_dataset,
@@ -18,7 +16,6 @@ from helo.data import (
     schema_by_name,
     split_loso,
     split_subject_dependent,
-    subject_dependent_plan,
 )
 from helo.errors import SplitError, ValidationError
 from helo.labelspace import batch_label_correlation
@@ -50,37 +47,6 @@ def test_schema_roundtrip(tmp_path):
 def test_unknown_schema_name():
     with pytest.raises(ValidationError):
         schema_by_name("deap")
-
-
-# -- score transform ------------------------------------------------------------
-
-
-def test_panas_uniform_scores():
-    out = panas_to_distribution([3] * 10)
-    np.testing.assert_allclose(out, 0.1, atol=1e-15)
-
-
-def test_panas_hand_oracle():
-    out = panas_to_distribution([5, 1, 1, 1, 1, 1, 1, 1, 1, 1])
-    assert out[0] == pytest.approx(5 / 14, abs=1e-12)
-    assert out[0] == pytest.approx(0.3571, abs=5e-5)
-
-
-def test_panas_always_normalized():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        scores = rng.integers(1, 6, size=10)
-        assert panas_to_distribution(scores).sum() == pytest.approx(1.0, abs=1e-12)
-        assert panas_to_distribution(scores, mode="softmax").sum() == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-
-def test_panas_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        panas_to_distribution([0, 3, 3])
-    with pytest.raises(ValidationError):
-        panas_to_distribution([1, 2, 6])
 
 
 # -- synthetic generation ----------------------------------------------------------
@@ -259,9 +225,8 @@ def test_split_plans_generate_validate_load_loop(tmp_path):
     path = tmp_path / "loop.jsonl"
     save_dataset(samples, path)
     loaded = load_dataset(path, WESAD_SCHEMA)
-    plan = subject_dependent_plan(loaded, seed=5)
-    assert plan.mode == "subject_dependent"
-    assert len(plan.folds) == 1
-    plan = loso_plan(loaded)
-    assert plan.mode == "loso"
-    assert len(plan.folds) == 3
+    assert split_subject_dependent(loaded, seed=5) == split_subject_dependent(
+        samples, seed=5
+    )
+    assert split_loso(loaded) == split_loso(samples)
+    assert len(split_loso(loaded)) == 3

@@ -11,11 +11,9 @@ from helo.labelspace import (
     init_prediction_head,
     kld_loss,
     kld_loss_backward,
-    lcdca,
     lcdca_backward,
     lcdca_forward,
     overall_loss,
-    predict_head,
     predict_head_backward,
     predict_head_forward,
 )
@@ -90,7 +88,7 @@ def test_lcdca_zero_bias_reduces_to_plain_attention():
     params = init_label_attention(rng, l, d, "lab")
     x_m = rng.normal(l, d)
     zero_bias = np.zeros((l, l))
-    out = lcdca(params.x_l.value, x_m, zero_bias, params)
+    out, _ = lcdca_forward(params.x_l.value, x_m, zero_bias, params)
     q = params.x_l.value @ params.w_q.value
     k = x_m @ params.w_k.value
     v = x_m @ params.w_v.value
@@ -124,7 +122,7 @@ def test_lcdca_requires_pooled_token_count():
     rng = Rng(10)
     params = init_label_attention(rng, l, d, "lab")
     with pytest.raises(ConfigurationError):
-        lcdca(params.x_l.value, rng.normal(l + 1, d), np.zeros((l, l)), params)
+        lcdca_forward(params.x_l.value, rng.normal(l + 1, d), np.zeros((l, l)), params)
 
 
 # -- prediction head -----------------------------------------------------------------
@@ -135,7 +133,7 @@ def test_predict_head_zero_weights_uniform():
     head = init_prediction_head(rng, 6, 8, 4, 5, "head")
     for p in (head.w1, head.b1, head.w2, head.b2, head.w3, head.b3):
         p.value[...] = 0.0
-    pred = predict_head(rng.normal(5, 6), head)
+    pred, _ = predict_head_forward(rng.normal(5, 6), head)
     np.testing.assert_allclose(pred, 0.2, atol=1e-15)
 
 
@@ -143,7 +141,7 @@ def test_predict_head_normalized_over_random_draws():
     for seed in range(100):
         rng = Rng(seed)
         head = init_prediction_head(rng, 4, 6, 5, 7, "head")
-        pred = predict_head(rng.normal(7, 4), head)
+        pred, _ = predict_head_forward(rng.normal(7, 4), head)
         assert abs(pred.sum() - 1.0) <= 1e-9
         assert (pred >= 0.0).all()
 
@@ -151,7 +149,8 @@ def test_predict_head_normalized_over_random_draws():
 def test_predict_head_ten_class_output():
     rng = Rng(12)
     head = init_prediction_head(rng, 8, 12, 6, 10, "head")
-    assert predict_head(rng.normal(10, 8), head).shape == (10,)
+    pred, _ = predict_head_forward(rng.normal(10, 8), head)
+    assert pred.shape == (10,)
 
 
 # -- losses ---------------------------------------------------------------------------

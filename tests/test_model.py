@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import helo
 from helo.config import TrainConfig
 from helo.data import DMER_SCHEMA, WESAD_SCHEMA, generate_synthetic
 from helo.errors import ConfigurationError
-from helo.model import AblationSpec, ablation_grid, build_ablated, build_model
+from helo.model import AblationSpec, Model, ablation_grid
 
 
 def small_config(seed=0, **overrides):
@@ -30,7 +31,7 @@ def dmer_samples():
 
 
 def test_forward_produces_distribution(dmer_samples):
-    model = build_model(DMER_SCHEMA, small_config())
+    model = Model(DMER_SCHEMA, small_config())
     pred = model.predict(dmer_samples[0].features)
     assert pred.shape == (10,)
     assert pred.sum() == pytest.approx(1.0, abs=1e-9)
@@ -38,7 +39,7 @@ def test_forward_produces_distribution(dmer_samples):
 
 
 def test_full_model_wiring(dmer_samples):
-    model = build_model(DMER_SCHEMA, small_config())
+    model = Model(DMER_SCHEMA, small_config())
     assert model.query_modality == "eeg"
     assert model.kv_modalities == ["gsr", "ppg"]
     assert model.behavioral == "video"
@@ -53,15 +54,15 @@ def test_full_model_wiring(dmer_samples):
 
 
 def test_wesad_wiring():
-    model = build_model(WESAD_SCHEMA, small_config())
+    model = Model(WESAD_SCHEMA, small_config())
     assert model.query_modality == "ecg"
     assert model.kv_modalities == ["eda", "emg"]
     assert model.behavioral == "acc"
 
 
 def test_all_false_ablation_identical_to_full(dmer_samples):
-    full = build_model(DMER_SCHEMA, small_config())
-    ablated = build_ablated(DMER_SCHEMA, small_config(), AblationSpec())
+    full = Model(DMER_SCHEMA, small_config())
+    ablated = Model(DMER_SCHEMA, small_config(), AblationSpec())
     for name, p in full.params.items():
         np.testing.assert_array_equal(p.value, ablated.params[name].value)
     f = dmer_samples[0].features
@@ -69,7 +70,7 @@ def test_all_false_ablation_identical_to_full(dmer_samples):
 
 
 def test_query_reassignment_without_eeg(dmer_samples):
-    model = build_ablated(
+    model = Model(
         DMER_SCHEMA, small_config(), AblationSpec(excluded_modalities=frozenset({"eeg"}))
     )
     assert model.query_modality == "gsr"
@@ -80,7 +81,7 @@ def test_query_reassignment_without_eeg(dmer_samples):
 
 
 def test_disable_capf_concatenates_all_physiological(dmer_samples):
-    model = build_ablated(DMER_SCHEMA, small_config(), AblationSpec(disable_capf=True))
+    model = Model(DMER_SCHEMA, small_config(), AblationSpec(disable_capf=True))
     c = model.config.tokens_per_modality
     assert model.n_phy_tokens == 3 * c
     cache = model.forward_sample(dmer_samples[0].features)
@@ -89,21 +90,21 @@ def test_disable_capf_concatenates_all_physiological(dmer_samples):
 
 
 def test_disable_othm_keeps_tokens_unmixed(dmer_samples):
-    model = build_ablated(DMER_SCHEMA, small_config(), AblationSpec(disable_othm=True))
+    model = Model(DMER_SCHEMA, small_config(), AblationSpec(disable_othm=True))
     cache = model.forward_sample(dmer_samples[0].features)
     assert cache.plan is None
     np.testing.assert_array_equal(cache.transported, cache.x_phy)
 
 
 def test_disable_lcdca_drops_cc_term(dmer_samples):
-    model = build_ablated(DMER_SCHEMA, small_config(), AblationSpec(disable_lcdca=True))
+    model = Model(DMER_SCHEMA, small_config(), AblationSpec(disable_lcdca=True))
     total, kld, cc, _ = model.batch_loss(dmer_samples[:4])
     assert cc == 0.0
     assert total == kld
 
 
 def test_behavioral_removal_bypasses_transport(dmer_samples):
-    model = build_ablated(
+    model = Model(
         DMER_SCHEMA,
         small_config(),
         AblationSpec(excluded_modalities=frozenset({"video"})),
@@ -130,14 +131,14 @@ def test_ablation_grid_covers_components_and_modalities():
 
 def test_every_grid_variant_trains_a_step(dmer_samples):
     for spec in ablation_grid(DMER_SCHEMA):
-        model = build_ablated(DMER_SCHEMA, small_config(), spec)
+        model = Model(DMER_SCHEMA, small_config(), spec)
         total, _, _, _ = model.batch_loss(dmer_samples[:2])
         assert np.isfinite(total), spec.label()
 
 
 def test_excluding_all_physiological_rejected():
     with pytest.raises(ConfigurationError):
-        build_ablated(
+        Model(
             DMER_SCHEMA,
             small_config(),
             AblationSpec(excluded_modalities=frozenset({"eeg", "gsr", "ppg"})),
@@ -146,13 +147,13 @@ def test_excluding_all_physiological_rejected():
 
 def test_excluding_unknown_modality_rejected():
     with pytest.raises(ConfigurationError):
-        build_ablated(
+        Model(
             DMER_SCHEMA, small_config(), AblationSpec(excluded_modalities=frozenset({"emg"}))
         )
 
 
 def test_batch_loss_deterministic(dmer_samples):
-    model = build_model(DMER_SCHEMA, small_config())
+    model = Model(DMER_SCHEMA, small_config())
     t1, k1, c1, _ = model.batch_loss(dmer_samples[:4])
     g1 = {n: p.grad.copy() for n, p in model.params.items()}
     t2, k2, c2, _ = model.batch_loss(dmer_samples[:4])
@@ -162,9 +163,14 @@ def test_batch_loss_deterministic(dmer_samples):
 
 
 def test_plan_reuse_matches_recompute(dmer_samples):
-    model = build_model(DMER_SCHEMA, small_config())
+    model = Model(DMER_SCHEMA, small_config())
     features = dmer_samples[0].features
     plan = model.forward_sample(features).plan
     fresh = model.forward_sample(features)
     frozen = model.forward_sample(features, plan=plan)
     np.testing.assert_array_equal(fresh.pred, frozen.pred)
+
+
+def test_every_public_name_resolves():
+    for name in helo.__all__:
+        assert getattr(helo, name) is not None, name

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from helo.config import TrainConfig
-from helo.data import WESAD_SCHEMA, generate_synthetic, split_subject_dependent
+from helo.data import (
+    WESAD_SCHEMA,
+    generate_synthetic,
+    labels_matrix,
+    split_subject_dependent,
+)
+from helo.labelspace import batch_label_correlation
 from helo.linalg import Parameter
 from helo.model import AblationSpec, Model
 from helo.training import (
@@ -198,3 +204,27 @@ def test_full_model_and_allfalse_ablation_identical_histories(wesad_setup):
     hist_full, _ = train(full_model, samples, tr_idx, te_idx)
     hist_ablated, _ = train(ablated, samples, tr_idx, te_idx)
     assert hist_full == hist_ablated
+
+
+@pytest.mark.parametrize("dataset_level", [False, True])
+def test_dataset_level_correlation_reaches_every_batch(
+    monkeypatch, wesad_setup, dataset_level
+):
+    samples, tr_idx, te_idx = wesad_setup
+    seen = []
+    batch_loss = Model.batch_loss
+
+    def spy(self, batch, m_gt=None, **kwargs):
+        seen.append(m_gt)
+        return batch_loss(self, batch, m_gt=m_gt, **kwargs)
+
+    monkeypatch.setattr(Model, "batch_loss", spy)
+    config = tiny_config(epochs=1, dataset_level_correlation=dataset_level)
+    train(Model(WESAD_SCHEMA, config), samples, tr_idx, te_idx)
+    assert len(seen) == -(-len(tr_idx) // config.batch_size)
+    if not dataset_level:
+        assert all(m_gt is None for m_gt in seen)
+        return
+    whole = batch_label_correlation(labels_matrix([samples[i] for i in tr_idx]))
+    for m_gt in seen:
+        np.testing.assert_array_equal(m_gt, whole)

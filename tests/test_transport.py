@@ -3,12 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from helo.attention import init_encoder
 from helo.errors import ConfigurationError, DimensionError
-from helo.linalg import Rng
 from helo.transport import (
     cost_matrix,
-    othm_fuse,
     sinkhorn,
     transport_tokens,
     uniform_marginal,
@@ -153,20 +150,3 @@ def test_identity_like_plan_preserves_tokens_up_to_scale():
     )
     moved = transport_tokens(x, plan.t, rescale=True)
     np.testing.assert_allclose(moved, x, atol=1e-2)
-
-
-def test_othm_fuse_output_shape():
-    rng = Rng(0)
-    for c in (2, 4, 8):
-        enc_phy = init_encoder(rng, 8, 6, 1, 2, "p")
-        enc_v = init_encoder(rng, 8, 6, 1, 2, "v")
-        x_phy = np.random.default_rng(c).normal(size=(2 * c, 8))
-        x_v = np.random.default_rng(c + 1).normal(size=(2 * c, 8))
-        plan = sinkhorn(
-            cost_matrix(x_phy, x_v),
-            uniform_marginal(2 * c),
-            uniform_marginal(2 * c),
-            epsilon=0.1,
-        )
-        fused = othm_fuse(x_phy, x_v, plan, enc_phy, enc_v)
-        assert fused.shape == (4 * c, 8)

@@ -1,6 +1,6 @@
 
-from helo.data import WESAD_SCHEMA
-
+from helo.data import DMER_SCHEMA, WESAD_SCHEMA, generate_synthetic
+from helo.model import Model
 from helo.verify import full_pipeline_gradcheck, tiny_config
 
 def test_full_pipeline_gradcheck_dmer():
@@ -16,8 +16,17 @@ def test_full_pipeline_gradcheck_wesad_full_weighting():
     err, _, _ = full_pipeline_gradcheck(seed=0, schema=WESAD_SCHEMA, config=config)
     assert err <= 1e-4
 
+def test_full_pipeline_gradcheck_unscaled_transport():
+    # the literal T @ x_phy product, forward and backward
+    config = tiny_config(0).with_overrides(rescale_transport=False)
+    err, _, _ = full_pipeline_gradcheck(seed=0, config=config)
+    assert err <= 1e-4
+
 def test_gradcheck_uses_frozen_plans():
-    _, model, plans = full_pipeline_gradcheck(seed=1)
+    # the plans full_pipeline_gradcheck freezes, built the same way
+    model = Model(DMER_SCHEMA, tiny_config(1))
+    samples = generate_synthetic(DMER_SCHEMA, 2, 2, seed=1)
+    plans = [model.forward_sample(s.features).plan for s in samples]
     # plan shapes match the wiring
     n = model.n_phy_tokens
     assert plans[0].t.shape == (n, n)
