@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -195,14 +196,24 @@ def _cmd_evaluate(args) -> int:
     model, _, split_info = tr.load_checkpoint(args.checkpoint)
     samples = load_dataset(args.data, model.schema)
     mode = split_info.get("mode")
-    if mode == "subject_dependent":
-        _, test_idx = split_subject_dependent(
-            samples, ratio=split_info.get("ratio", 0.8), seed=split_info["seed"]
-        )
-    elif mode == "loso":
-        test_idx = split_loso(samples)[split_info["fold"]][1]
-    else:
-        test_idx = tuple(range(len(samples)))
+    try:
+        if mode == "subject_dependent":
+            _, test_idx = split_subject_dependent(
+                samples, ratio=split_info.get("ratio", 0.8), seed=split_info["seed"]
+            )
+        elif mode == "loso":
+            test_idx = split_loso(samples)[split_info["fold"]][1]
+        elif split_info:
+            raise ValidationError(
+                f"checkpoint {args.checkpoint} has a split record of unknown "
+                f"mode {mode!r}"
+            )
+        else:  # no split recorded: evaluate on every sample
+            test_idx = tuple(range(len(samples)))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"checkpoint {args.checkpoint} has a bad split record: {exc!r}"
+        ) from None
     metrics = tr.evaluate_model(model, samples, test_idx)
     _print_metrics(metrics)
     if args.out:
@@ -369,6 +380,7 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    logging.basicConfig(format="%(levelname)s: %(message)s")
     sys.exit(run(sys.argv[1:]))
 
 

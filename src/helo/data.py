@@ -109,8 +109,9 @@ def schema_by_name(name: str) -> DatasetSchema:
         ) from None
 
 
-def save_schema(schema: DatasetSchema, path) -> None:
-    doc = {
+def schema_to_dict(schema: DatasetSchema) -> dict:
+    """The JSON document of a schema file; `schema_from_dict` reads it back."""
+    return {
         "format_version": SCHEMA_FORMAT_VERSION,
         "name": schema.name,
         "modalities": [
@@ -119,8 +120,11 @@ def save_schema(schema: DatasetSchema, path) -> None:
         ],
         "label_names": list(schema.label_names),
     }
+
+
+def save_schema(schema: DatasetSchema, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(schema_to_dict(schema), fh, indent=2)
         fh.write("\n")
 
 
@@ -137,11 +141,14 @@ def load_json_object(path, what: str) -> dict:
     return doc
 
 
-def load_schema(path) -> DatasetSchema:
-    doc = load_json_object(path, "schema")
+def schema_from_dict(doc, where: str) -> DatasetSchema:
+    """The schema a `schema_to_dict` document describes; a bad document
+    raises ValidationError naming `where`."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} is not a JSON object")
     if doc.get("format_version") != SCHEMA_FORMAT_VERSION:
         raise ValidationError(
-            f"unsupported schema format_version {doc.get('format_version')!r}"
+            f"{where}: unsupported schema format_version {doc.get('format_version')!r}"
         )
     try:
         schema = DatasetSchema(
@@ -153,11 +160,18 @@ def load_schema(path) -> DatasetSchema:
             label_names=tuple(doc["label_names"]),
         )
     except KeyError as exc:
-        raise ValidationError(f"schema {path} lacks the field {exc}") from None
+        raise ValidationError(f"{where} lacks the field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"schema {path} is malformed: {exc}") from None
-    schema.behavioral  # validates the one-behavioral invariant
+        raise ValidationError(f"{where} is malformed: {exc}") from None
+    try:
+        schema.behavioral  # validates the one-behavioral invariant
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     return schema
+
+
+def load_schema(path) -> DatasetSchema:
+    return schema_from_dict(load_json_object(path, "schema"), f"schema {path}")
 
 
 @dataclass

@@ -11,6 +11,7 @@ stay bit-reproducible.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .config import TrainConfig
 from .data import DatasetSchema
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .linalg import Matrix, Parameter, Rng, mT, weight_grad
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,10 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def solve_plans(self, x_phy: Matrix, x_v: Matrix) -> tp.PlanBatch:
+        """The batch's transport plans; unconverged ones are logged, once
+        per call, and used as they stopped."""
         cfg = self.config
-        return tp.sinkhorn_batch(
+        plans = tp.sinkhorn_batch(
             tp.cost_matrix(x_phy, x_v),
             tp.uniform_marginal(x_phy.shape[-2]),
             tp.uniform_marginal(x_v.shape[-2]),
@@ -190,6 +195,17 @@ class Model:
             cfg.sinkhorn_max_iter,
             cfg.sinkhorn_tol,
         )
+        if not plans.converged.all():
+            stuck = ~plans.converged
+            log.warning(
+                "%d of %d transport plans did not converge within "
+                "sinkhorn_max_iter=%d (worst marginal violation %.3e)",
+                int(stuck.sum()),
+                len(stuck),
+                cfg.sinkhorn_max_iter,
+                float(plans.marginal_violation[stuck].max()),
+            )
+        return plans
 
     def _label_gram(self):
         if not self.use_lcdca:

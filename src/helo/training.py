@@ -4,18 +4,35 @@ Training is single-threaded over batches with a seeded shuffle so identical
 configs produce byte-identical histories and checkpoints.  Evaluation runs
 the batched forward pass over chunks of `batch_size` samples; predictions
 do not depend on the chunking.
+
+A checkpoint (format version 2) is one JSON document holding the schema
+document, the config and its hash, the ablation switches, the split record,
+and every parameter and Adam moment as a record of its shape, the base64 of
+its little-endian float64 bytes and their sha256.  `_encode_array` writes
+each record and `_decode_array` checks it on load; version-1 files are
+refused.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TrainConfig
-from .data import Sample, labels_matrix, load_json_object, schema_by_name
+from .data import (
+    Sample,
+    labels_matrix,
+    load_json_object,
+    schema_from_dict,
+    schema_to_dict,
+)
 from .errors import (
+    ConfigurationError,
     DimensionError,
     DivergenceError,
     NumericalError,
@@ -26,7 +43,7 @@ from .labelspace import batch_label_correlation
 from .metrics import MetricVector, evaluate_set
 from .model import AblationSpec, Model
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -198,6 +215,50 @@ def write_label_correlation_csv(model: Model, path, config_hash: str, seed: int)
         fh.write("\n".join(lines) + "\n")
 
 
+def _encode_array(arr: np.ndarray) -> dict:
+    """An array as a checkpoint record: its shape, and the base64 of its
+    little-endian float64 bytes with their sha256."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {
+        "shape": list(arr.shape),
+        "sha256": hashlib.sha256(raw).hexdigest(),
+        "data": base64.b64encode(raw).decode("ascii"),
+    }
+
+
+def _decode_array(record, shape: tuple, where: str) -> np.ndarray:
+    """A writable float64 copy of the array `_encode_array` stored.
+
+    `where` names the file and the array.  A record that is not of `shape`,
+    not base64, of the wrong byte length or whose bytes do not match their
+    digest raises ValidationError; a non-finite value raises NumericalError.
+    """
+    if not isinstance(record, dict):
+        raise ValidationError(f"{where} is not an object")
+    try:
+        stored_shape, data, digest = record["shape"], record["data"], record["sha256"]
+    except KeyError as exc:
+        raise ValidationError(f"{where} lacks the field {exc}") from None
+    if not isinstance(stored_shape, list) or tuple(stored_shape) != shape:
+        raise ValidationError(
+            f"{where} has shape {stored_shape!r}, expected {list(shape)}"
+        )
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValidationError(f"{where} is not base64: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValidationError(
+            f"{where} holds {len(raw)} bytes, expected {8 * math.prod(shape)}"
+        )
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise ValidationError(f"{where} does not match its sha256 digest")
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"{where} holds non-finite values")
+    return arr
+
+
 def save_checkpoint(
     model: Model,
     state: AdamState,
@@ -206,7 +267,7 @@ def save_checkpoint(
 ) -> None:
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "schema": model.schema.name,
+        "schema": schema_to_dict(model.schema),
         "config": model.config.to_dict(),
         "config_hash": model.config.hash(),
         "ablation": {
@@ -216,45 +277,55 @@ def save_checkpoint(
             "excluded_modalities": sorted(model.ablation.excluded_modalities),
         },
         "split": split_info or {},
-        "params": {
-            name: {"shape": list(p.value.shape), "data": p.value.reshape(-1).tolist()}
-            for name, p in model.params.items()
-        },
+        "params": {name: _encode_array(p.value) for name, p in model.params.items()},
         "adam": {
             "step": state.step,
             "beta1": state.beta1,
             "beta2": state.beta2,
             "eps": state.eps,
-            "m": {k: v.reshape(-1).tolist() for k, v in state.m.items()},
-            "v": {k: v.reshape(-1).tolist() for k, v in state.v.items()},
+            "m": {k: _encode_array(v) for k, v in state.m.items()},
+            "v": {k: _encode_array(v) for k, v in state.v.items()},
         },
     }
+    # json.dumps encodes in C; json.dump would run the pure-Python encoder
+    text = json.dumps(doc, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 
 def load_checkpoint(path) -> tuple[Model, AdamState, dict]:
     """Rebuild the model, Adam state and split record saved at `path`.
 
-    A file that is not JSON, is cut short or lacks a field raises
-    ValidationError naming the file.
+    Every error names the file: a file that is not JSON, is cut short, lacks
+    a field, is of another format version or whose config does not match
+    its `config_hash` raises ValidationError, and so does a bad array record
+    (see `_decode_array`, which also names the array).
     """
     doc = load_json_object(path, "checkpoint")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise DimensionError(
-            f"unsupported checkpoint format_version {doc.get('format_version')!r}"
+    version = doc.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValidationError(
+            f"checkpoint {path} has format_version {version!r}; only version "
+            f"{CHECKPOINT_FORMAT_VERSION} can be read"
         )
     try:
-        return _restore_checkpoint(doc)
+        return _restore_checkpoint(doc, path)
     except KeyError as exc:
         raise ValidationError(f"checkpoint {path} lacks the field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"checkpoint {path} is malformed: {exc}") from None
+    except ConfigurationError as exc:
+        raise ValidationError(f"checkpoint {path}: {exc}") from None
 
 
-def _restore_checkpoint(doc: dict) -> tuple[Model, AdamState, dict]:
+def _restore_checkpoint(doc: dict, path) -> tuple[Model, AdamState, dict]:
     config = TrainConfig.from_dict(doc["config"])
+    if config.hash() != doc["config_hash"]:
+        raise ValidationError(
+            f"checkpoint {path}: config_hash {doc['config_hash']!r} does not "
+            f"match its config ({config.hash()!r})"
+        )
     ab = doc["ablation"]
     ablation = AblationSpec(
         disable_capf=ab["disable_capf"],
@@ -262,25 +333,29 @@ def _restore_checkpoint(doc: dict) -> tuple[Model, AdamState, dict]:
         disable_lcdca=ab["disable_lcdca"],
         excluded_modalities=frozenset(ab["excluded_modalities"]),
     )
-    model = Model(schema_by_name(doc["schema"]), config, ablation)
-    for name, p in model.params.items():
-        stored = doc["params"][name]
-        arr = np.array(stored["data"], dtype=np.float64).reshape(stored["shape"])
-        if arr.shape != p.value.shape:
-            raise DimensionError(f"checkpoint parameter {name} has shape {arr.shape}")
-        p.value[...] = arr
+    schema = schema_from_dict(doc["schema"], f"checkpoint {path} schema")
+    model = Model(schema, config, ablation)
+    adam = doc["adam"]
+
+    def arrays(records: dict, group: str) -> dict[str, np.ndarray]:
+        return {
+            name: _decode_array(
+                records[name], p.value.shape, f"checkpoint {path} {group} {name}"
+            )
+            for name, p in model.params.items()
+        }
+
+    for name, value in arrays(doc["params"], "params").items():
+        model.params[name].value[...] = value
     state = AdamState(
-        step=int(doc["adam"]["step"]),
-        beta1=float(doc["adam"]["beta1"]),
-        beta2=float(doc["adam"]["beta2"]),
-        eps=float(doc["adam"]["eps"]),
-        m={
-            k: np.array(v, dtype=np.float64).reshape(model.params[k].value.shape)
-            for k, v in doc["adam"]["m"].items()
-        },
-        v={
-            k: np.array(v, dtype=np.float64).reshape(model.params[k].value.shape)
-            for k, v in doc["adam"]["v"].items()
-        },
+        step=int(adam["step"]),
+        beta1=float(adam["beta1"]),
+        beta2=float(adam["beta2"]),
+        eps=float(adam["eps"]),
+        m=arrays(adam["m"], "adam.m"),
+        v=arrays(adam["v"], "adam.v"),
     )
-    return model, state, doc.get("split", {})
+    split = doc["split"]
+    if not isinstance(split, dict):
+        raise ValidationError(f"checkpoint {path} split is not an object")
+    return model, state, split

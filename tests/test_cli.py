@@ -1,4 +1,8 @@
+import base64
+import hashlib
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -166,16 +170,37 @@ def test_gradcheck_runs_with_diagnostics(tmp_path, capsys):
     assert len(lines) > 1
 
 
-def test_corrupted_checkpoint_exits_3(tmp_path):
+def array_record(arr):
+    """A checkpoint array record: shape, sha256 and base64 of `<f8` bytes."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {
+        "shape": list(arr.shape),
+        "sha256": hashlib.sha256(raw).hexdigest(),
+        "data": base64.b64encode(raw).decode("ascii"),
+    }
+
+
+def stored_array(record):
+    raw = base64.b64decode(record["data"])
+    return np.frombuffer(raw, dtype="<f8").reshape(record["shape"]).copy()
+
+
+def test_corrupted_checkpoint_exits_3(tmp_path, capsys):
     data = gen(tmp_path, subjects=2, trials=5, seed=7)
     out = tmp_path / "run3"
     assert run(["train", "--data", str(data), "--out-dir", str(out),
                 "--epochs", "1", *SMALL]) == 0
     ckpt = out / "checkpoint.json"
     doc = json.loads(ckpt.read_text())
-    doc["params"]["head.w1"]["data"][0] = float("nan")
+    # a NaN stored with a matching digest: only the finiteness check sees it
+    w1 = stored_array(doc["params"]["head.w1"])
+    w1.flat[0] = float("nan")
+    doc["params"]["head.w1"] = array_record(w1)
     ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert run(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "head.w1" in err and "Traceback" not in err
 
 
 def test_schema_file_path_flag(tmp_path):
@@ -206,12 +231,15 @@ def test_truncated_or_incomplete_checkpoint_exits_2(tmp_path, capsys):
     assert run(["train", "--data", str(data), "--out-dir", str(out),
                 "--epochs", "1", *SMALL]) == 0
     text = (out / "checkpoint.json").read_text()
-    doc = json.loads(text)
-    del doc["params"]["head.w1"]
+    no_array = json.loads(text)
+    del no_array["params"]["head.w1"]
+    no_digest = json.loads(text)
+    del no_digest["adam"]["m"]["head.w1"]["sha256"]
     broken = {
-        "cut.json": text[:5000],
+        "cut.json": text[: text.index('"data":"', text.index('"head.w1"')) + 20],
         "empty.json": "",
-        "missing.json": json.dumps(doc),
+        "missing.json": json.dumps(no_array),
+        "no_digest.json": json.dumps(no_digest),
     }
     capsys.readouterr()
     for name, content in broken.items():
@@ -220,6 +248,137 @@ def test_truncated_or_incomplete_checkpoint_exits_2(tmp_path, capsys):
         assert run(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and "Traceback" not in err, name
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    data = gen(root, subjects=2, trials=5, seed=7)
+    assert run(["train", "--data", str(data), "--out-dir", str(root / "run"),
+                "--epochs", "1", *SMALL]) == 0
+    return data, json.loads((root / "run" / "checkpoint.json").read_text())
+
+
+def as_version_1(doc):
+    """The same state in the layout of checkpoint format version 1."""
+    def lists(records):
+        return {k: stored_array(r).reshape(-1).tolist() for k, r in records.items()}
+
+    return {
+        **doc,
+        "format_version": 1,
+        "schema": doc["schema"]["name"],
+        "params": {
+            k: {"shape": r["shape"], "data": stored_array(r).reshape(-1).tolist()}
+            for k, r in doc["params"].items()
+        },
+        "adam": {**doc["adam"], "m": lists(doc["adam"]["m"]),
+                 "v": lists(doc["adam"]["v"])},
+    }
+
+
+def flip_first_data_char(doc):
+    record = doc["params"]["head.w1"]
+    record["data"] = ("B" if record["data"][0] == "A" else "A") + record["data"][1:]
+    return doc
+
+
+def wrong_shape(doc):
+    doc["params"]["head.w1"]["shape"].append(1)
+    return doc
+
+
+def wrong_config_hash(doc):
+    doc["config"]["lambda_cc"] = 0.5
+    return doc
+
+
+def split_without_seed(doc):
+    del doc["split"]["seed"]
+    return doc
+
+
+def unknown_split_mode(doc):
+    doc["split"]["mode"] = "subject-dependent"
+    return doc
+
+
+# case: (edit of the saved document, text stderr must hold)
+BAD_CHECKPOINTS = {
+    "version_1": (as_version_1, "format_version 1"),
+    "flipped_base64_char": (flip_first_data_char, "params head.w1"),
+    "wrong_shape": (wrong_shape, "params head.w1"),
+    "config_hash_mismatch": (wrong_config_hash, "config_hash"),
+    "split_without_seed": (split_without_seed, "split record"),
+    "unknown_split_mode": (unknown_split_mode, "split record"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, trained_checkpoint, case):
+    data, doc = trained_checkpoint
+    edit, named = BAD_CHECKPOINTS[case]
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(edit(json.loads(json.dumps(doc)))))
+    capsys.readouterr()
+    assert run(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}") and "Traceback" not in err
+    assert named in err
+
+
+def test_checkpoint_carries_a_schema_file(tmp_path):
+    from helo.data import Modality, DatasetSchema, save_schema
+
+    schema = DatasetSchema(
+        name="mylab",
+        modalities=(
+            Modality("eeg", 6, "physiological"),
+            Modality("hr", 3, "physiological"),
+            Modality("face", 5, "behavioral"),
+        ),
+        label_names=("calm", "tense", "glad"),
+    )
+    schema_path = tmp_path / "my.json"
+    save_schema(schema, schema_path)
+    data = tmp_path / "d.jsonl"
+    assert run(["generate", "--schema", str(schema_path), "--subjects", "2",
+                "--trials", "5", "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data), "--schema", str(schema_path),
+                "--out-dir", str(out), "--epochs", "1", *SMALL]) == 0
+    schema_path.unlink()  # evaluation needs only the checkpoint
+    eval_csv = tmp_path / "eval.csv"
+    assert run(["evaluate", "--checkpoint", str(out / "checkpoint.json"),
+                "--data", str(data), "--out", str(eval_csv)]) == 0
+    final = (out / "history.csv").read_text().splitlines()[-1].split(",")[2:]
+    evaluated = eval_csv.read_text().splitlines()[2].split(",")[1:]
+    np.testing.assert_allclose(
+        [float(x) for x in evaluated], [float(x) for x in final], atol=1e-12
+    )
+
+
+def test_unconverged_plans_are_reported_without_changing_artifacts(tmp_path, caplog):
+    data = gen(tmp_path, subjects=2, trials=5, seed=7)
+    argv = ["train", "--data", str(data), "--epochs", "2", "--seed", "4", *SMALL,
+            "--set", "sinkhorn_max_iter=1"]
+    with caplog.at_level(logging.WARNING, logger="helo.model"):
+        assert run(argv + ["--out-dir", str(tmp_path / "warned")]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.name == "helo.model"]
+    # one warning per solve: 2 epochs of (1 train batch + 1 evaluation chunk)
+    assert len(warnings) == 4
+    assert all(
+        re.fullmatch(r"\d+ of \d+ transport plans did not converge within "
+                     r"sinkhorn_max_iter=1 \(worst marginal violation \S+\)", w)
+        for w in warnings
+    ), warnings
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="helo.model"):
+        assert run(argv + ["--out-dir", str(tmp_path / "quiet")]) == 0
+    assert not caplog.records
+    for artifact in ("history.csv", "checkpoint.json", "label_correlation.csv"):
+        warned = (tmp_path / "warned" / artifact).read_bytes()
+        assert warned == (tmp_path / "quiet" / artifact).read_bytes(), artifact
 
 
 def _eval_csv(rows):

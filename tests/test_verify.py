@@ -3,8 +3,8 @@ from helo.data import DMER_SCHEMA, WESAD_SCHEMA, generate_synthetic
 from helo.model import Model
 from helo.verify import full_pipeline_gradcheck, tiny_config
 
-def test_full_pipeline_gradcheck_dmer():
-    err, model, plans = full_pipeline_gradcheck(seed=0)
+def test_full_pipeline_gradcheck_dmer(tiny_gradcheck):
+    err, model, plans = tiny_gradcheck(0)
     assert err <= 1e-4
     assert len(plans) == 4
     assert all(p.converged for p in plans)
