@@ -350,35 +350,3 @@ def init_encoder(
             )
         )
     return EncoderParams(layers=layers, heads=heads)
-
-
-def iter_projection_params(proj: ModalityProjection):
-    yield proj.w
-    yield proj.mix
-    yield proj.bias
-
-
-def iter_cross_attention_params(params: CrossAttentionParams):
-    yield params.w_q
-    for m in params.w_k:
-        yield params.w_k[m]
-        yield params.w_v[m]
-    yield params.w_mha
-    yield params.ln_gamma
-    yield params.ln_beta
-
-
-def iter_encoder_params(params: EncoderParams):
-    for layer in params.layers:
-        yield layer.ln1_gamma
-        yield layer.ln1_beta
-        yield layer.w_q
-        yield layer.w_k
-        yield layer.w_v
-        yield layer.w_o
-        yield layer.ln2_gamma
-        yield layer.ln2_beta
-        yield layer.w_ff1
-        yield layer.b_ff1
-        yield layer.w_ff2
-        yield layer.b_ff2

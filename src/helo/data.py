@@ -287,6 +287,9 @@ def _parse_record(doc: dict, schema: DatasetSchema, line_no: int) -> Sample:
     for field in ("subject", "trial", "features", "label"):
         if field not in doc:
             fail(field, "missing")
+    for field in ("subject", "trial"):
+        if not isinstance(doc[field], int) or isinstance(doc[field], bool):
+            fail(field, f"expected an integer, got {doc[field]!r}")
     features = {}
     for m in schema.modalities:
         vec = doc["features"].get(m.name)
@@ -294,7 +297,7 @@ def _parse_record(doc: dict, schema: DatasetSchema, line_no: int) -> Sample:
             fail(m.name, "missing modality")
         arr = np.asarray(vec, dtype=np.float64)
         if arr.shape != (m.dim,):
-            fail(m.name, f"expected {m.dim} features, got {arr.shape[0]}")
+            fail(m.name, f"expected {m.dim} features, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             fail(m.name, "non-finite feature values")
         features[m.name] = arr
@@ -303,14 +306,18 @@ def _parse_record(doc: dict, schema: DatasetSchema, line_no: int) -> Sample:
         fail(sorted(extra)[0], "not part of the schema")
     label = np.asarray(doc["label"], dtype=np.float64)
     if label.shape != (schema.label_count,):
-        fail("label", f"expected {schema.label_count} classes, got {label.shape[0]}")
+        fail(
+            "label", f"expected {schema.label_count} classes, got shape {label.shape}"
+        )
+    if not np.isfinite(label).all():
+        fail("label", "non-finite probability")
     if (label < 0.0).any():
         fail("label", "negative probability")
     if abs(label.sum() - 1.0) > 1e-9:
         fail("label", f"probabilities sum to {label.sum()!r}, not 1")
     return Sample(
-        subject=int(doc["subject"]),
-        trial=int(doc["trial"]),
+        subject=doc["subject"],
+        trial=doc["trial"],
         features=features,
         label=label,
     )

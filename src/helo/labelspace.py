@@ -262,22 +262,6 @@ def init_prediction_head(
     )
 
 
-def iter_label_attention_params(params: LabelAttentionParams):
-    yield params.x_l
-    yield params.w_q
-    yield params.w_k
-    yield params.w_v
-
-
-def iter_prediction_head_params(params: PredictionHeadParams):
-    yield params.w1
-    yield params.b1
-    yield params.w2
-    yield params.b2
-    yield params.w3
-    yield params.b3
-
-
 # re-exported here so the label-embedding gradient path reads in one place
 label_correlation_forward = cosine_gram_forward
 label_correlation_backward = cosine_gram_backward

@@ -7,11 +7,15 @@ call covers a (B, T, d) stack of per-sample matrices.  Forward products
 stay per-sample matrix products: a row of the batch is computed exactly as a
 batch of one, and numpy's fixed reduction order keeps runs bit-reproducible
 per seed.  Weight gradients are summed over the batch by one fused product.
+
+`iter_parameters` walks a tree of stage structs, which is the one place the
+order of a model's parameters comes from; `pack_parameters` makes each
+`Parameter.value`/`.grad` a named view into one flat buffer of each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -180,23 +184,54 @@ class Parameter:
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = field(default=None)  # type: ignore[assignment]
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
         if self.value.ndim != 2:
             raise DimensionError(f"parameter {self.name} must be 2-D")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        elif self.grad.shape != self.value.shape:
-            raise DimensionError(f"parameter {self.name} grad shape mismatch")
+        self.grad = np.zeros_like(self.value)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape  # type: ignore[return-value]
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+
+def iter_parameters(tree):
+    """Every Parameter in a tree of dataclasses, dicts and lists, depth
+    first in field and insertion order; other leaves are skipped."""
+    if isinstance(tree, Parameter):
+        yield tree
+    elif isinstance(tree, dict):
+        for child in tree.values():
+            yield from iter_parameters(child)
+    elif isinstance(tree, list):
+        for child in tree:
+            yield from iter_parameters(child)
+    elif is_dataclass(tree):
+        for f in fields(tree):
+            yield from iter_parameters(getattr(tree, f.name))
+
+
+def slab_views(flat: np.ndarray, params) -> list[np.ndarray]:
+    """Consecutive slices of `flat`, each shaped like one parameter in turn."""
+    views, offset = [], 0
+    for p in params:
+        views.append(flat[offset : offset + p.value.size].reshape(p.shape))
+        offset += p.value.size
+    return views
+
+
+def pack_parameters(params: list[Parameter]) -> tuple[np.ndarray, np.ndarray]:
+    """One values buffer holding the parameters' current values in order, and
+    one zeroed grads buffer; each Parameter is rebound to views of both."""
+    values = np.concatenate([p.value.reshape(-1) for p in params])
+    grads = np.zeros_like(values)
+    for p, value, grad in zip(
+        params, slab_views(values, params), slab_views(grads, params)
+    ):
+        p.value, p.grad = value, grad
+    return values, grads
 
 
 class Rng:

@@ -1,12 +1,15 @@
 """Full pipeline assembly: projection, fusion, transport, label attention.
 
 A model owns every trainable parameter plus the wiring decisions implied by
-the schema and the ablation switches.  Training, evaluation and prediction
-share one forward pass over (B, T, d) token arrays; prediction is a batch of
-one, and every forward product is a per-sample matrix product, so a
-sample's prediction is bit-identical in any batch.  The backward pass runs
-once per batch and sums weight gradients over it in a fixed order, so runs
-stay bit-reproducible.
+the schema and the ablation switches.  Its parameters live in two flat
+float64 buffers, `values` and `grads`, in the order `linalg.iter_parameters`
+walks the stage structs; each `Parameter` is a named view of its slice, so
+zeroing the gradients is one fill and the optimizer updates whole buffers.
+Training, evaluation and prediction share one forward pass over (B, T, d)
+token arrays; prediction is a batch of one, and every forward product is a
+per-sample matrix product, so a sample's prediction is bit-identical in any
+batch.  The backward pass runs once per batch and sums weight gradients over
+it in a fixed order, so runs stay bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +25,16 @@ from . import transport as tp
 from .config import TrainConfig
 from .data import DatasetSchema
 from .errors import ConfigurationError, DivergenceError, NumericalError
-from .linalg import Matrix, Parameter, Rng, mT, weight_grad
+from .linalg import (
+    Matrix,
+    Parameter,
+    Rng,
+    iter_parameters,
+    mT,
+    pack_parameters,
+    slab_views,
+    weight_grad,
+)
 
 log = logging.getLogger(__name__)
 
@@ -158,28 +170,17 @@ class Model:
         self.head = ls.init_prediction_head(
             rng, d, cfg.head_hidden1, cfg.head_hidden2, n_labels, "head"
         )
-        self.params: dict[str, Parameter] = {}
-        for p in self._iter_params():
-            if p.name in self.params:
-                raise ConfigurationError(f"duplicate parameter name {p.name}")
-            self.params[p.name] = p
+        stages = [self.projections, self.capf, self.enc_phy, self.enc_v,
+                  self.w_pool, self.label_attn, self.head]
+        self.params = {p.name: p for p in iter_parameters(stages)}
+        self.values, self.grads = pack_parameters(list(self.params.values()))
 
-    def _iter_params(self):
-        for m in self.active_modalities:
-            yield from att.iter_projection_params(self.projections[m.name])
-        if self.capf is not None:
-            yield from att.iter_cross_attention_params(self.capf)
-        yield from att.iter_encoder_params(self.enc_phy)
-        if self.enc_v is not None:
-            yield from att.iter_encoder_params(self.enc_v)
-        if self.use_lcdca:
-            yield self.w_pool
-            yield from ls.iter_label_attention_params(self.label_attn)
-        yield from ls.iter_prediction_head_params(self.head)
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's slice of a flat buffer laid out like `values`."""
+        return dict(zip(self.params, slab_views(flat, self.params.values())))
 
     def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
     # -- forward ------------------------------------------------------------
 

@@ -1,15 +1,18 @@
 """Adam optimization, the epoch loop, and run artifacts.
 
 Training is single-threaded over batches with a seeded shuffle so identical
-configs produce byte-identical histories and checkpoints.  Evaluation runs
-the batched forward pass over chunks of `batch_size` samples; predictions
-do not depend on the chunking.
+configs produce byte-identical histories and checkpoints.  Adam's moments
+are two flat buffers laid out like the model's `values`, and one step
+updates the whole slab.  Evaluation runs the batched forward pass over
+chunks of `batch_size` samples; predictions do not depend on the chunking.
 
 A checkpoint (format version 2) is one JSON document holding the schema
 document, the config and its hash, the ablation switches, the split record,
-and every parameter and Adam moment as a record of its shape, the base64 of
-its little-endian float64 bytes and their sha256.  `_encode_array` writes
-each record and `_decode_array` checks it on load; version-1 files are
+the Adam step and constants, and every parameter and Adam moment as a
+record of its shape, the base64 of its little-endian float64 bytes and their
+sha256, in the order of the model's parameters.  `_encode_array` writes each
+record from a view of its slab and `_decode_array` checks it on load and
+decodes it into that view; version-1 files and other Adam constants are
 refused.
 """
 
@@ -18,8 +21,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .data import (
 )
 from .errors import (
     ConfigurationError,
-    DimensionError,
     DivergenceError,
     NumericalError,
     SplitError,
@@ -48,44 +49,44 @@ CHECKPOINT_FORMAT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Written into every checkpoint; a checkpoint of other values is refused.
+ADAM_CONSTANTS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
+# Elements per chunk of the Adam update: the update's temporaries for one
+# chunk stay in cache, which a whole-buffer expression's do not.
+ADAM_CHUNK = 32768
 
 
 @dataclass
 class AdamState:
-    step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Step count and the first and second moments, laid out like the
+    model's `values` buffer."""
+
+    step: int
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adam(model: Model) -> AdamState:
-    state = AdamState()
-    for name, p in model.params.items():
-        state.m[name] = np.zeros_like(p.value)
-        state.v[name] = np.zeros_like(p.value)
-    return state
+    return AdamState(0, np.zeros_like(model.values), np.zeros_like(model.values))
 
 
-def adam_step(params, state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update; gradients are left untouched."""
+def adam_step(
+    values: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
+) -> None:
+    """Bias-corrected Adam update of a flat values buffer, chunk by chunk;
+    gradients are left untouched.  Every operation is elementwise, so the
+    chunking does not change a bit."""
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
-    for name, p in params.items():
-        m = state.m[name]
-        v = state.v[name]
-        if m.shape != p.value.shape or v.shape != p.value.shape:
-            raise DimensionError(
-                f"adam moment shape drift for {name}: {m.shape} vs {p.value.shape}"
-            )
-        g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
+    for start in range(0, values.size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        g, m, v = grads[chunk], state.m[chunk], state.v[chunk]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        values[chunk] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def train(
                 raise DivergenceError(
                     f"epoch {epoch}, batch at sample {start}: {exc}"
                 ) from None
-            adam_step(model.params, state, cfg.learning_rate)
+            adam_step(model.values, model.grads, state, cfg.learning_rate)
             loss_sum += total * len(batch)
             kld_sum += kld * len(batch)
             cc_sum += cc * len(batch)
@@ -226,12 +227,13 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(record, shape: tuple, where: str) -> np.ndarray:
-    """A writable float64 copy of the array `_encode_array` stored.
+def _decode_array(record, out: np.ndarray, where: str) -> None:
+    """Decode the array `_encode_array` stored into `out`, a view of a slab.
 
-    `where` names the file and the array.  A record that is not of `shape`,
-    not base64, of the wrong byte length or whose bytes do not match their
-    digest raises ValidationError; a non-finite value raises NumericalError.
+    `where` names the file and the array.  A record that is not of the shape
+    of `out`, not base64, of the wrong byte length or whose bytes do not
+    match their digest raises ValidationError; a non-finite value raises
+    NumericalError.
     """
     if not isinstance(record, dict):
         raise ValidationError(f"{where} is not an object")
@@ -239,24 +241,21 @@ def _decode_array(record, shape: tuple, where: str) -> np.ndarray:
         stored_shape, data, digest = record["shape"], record["data"], record["sha256"]
     except KeyError as exc:
         raise ValidationError(f"{where} lacks the field {exc}") from None
-    if not isinstance(stored_shape, list) or tuple(stored_shape) != shape:
+    if not isinstance(stored_shape, list) or tuple(stored_shape) != out.shape:
         raise ValidationError(
-            f"{where} has shape {stored_shape!r}, expected {list(shape)}"
+            f"{where} has shape {stored_shape!r}, expected {list(out.shape)}"
         )
     try:
         raw = base64.b64decode(data, validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ValidationError(f"{where} is not base64: {exc}") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ValidationError(
-            f"{where} holds {len(raw)} bytes, expected {8 * math.prod(shape)}"
-        )
+    if len(raw) != 8 * out.size:
+        raise ValidationError(f"{where} holds {len(raw)} bytes, expected {8 * out.size}")
     if hashlib.sha256(raw).hexdigest() != digest:
         raise ValidationError(f"{where} does not match its sha256 digest")
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if not np.isfinite(arr).all():
+    out[...] = np.frombuffer(raw, dtype="<f8").reshape(out.shape)
+    if not np.isfinite(out).all():
         raise NumericalError(f"{where} holds non-finite values")
-    return arr
 
 
 def save_checkpoint(
@@ -280,11 +279,9 @@ def save_checkpoint(
         "params": {name: _encode_array(p.value) for name, p in model.params.items()},
         "adam": {
             "step": state.step,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
-            "m": {k: _encode_array(v) for k, v in state.m.items()},
-            "v": {k: _encode_array(v) for k, v in state.v.items()},
+            **ADAM_CONSTANTS,
+            "m": {k: _encode_array(v) for k, v in model.views(state.m).items()},
+            "v": {k: _encode_array(v) for k, v in model.views(state.v).items()},
         },
     }
     # json.dumps encodes in C; json.dump would run the pure-Python encoder
@@ -298,9 +295,10 @@ def load_checkpoint(path) -> tuple[Model, AdamState, dict]:
     """Rebuild the model, Adam state and split record saved at `path`.
 
     Every error names the file: a file that is not JSON, is cut short, lacks
-    a field, is of another format version or whose config does not match
-    its `config_hash` raises ValidationError, and so does a bad array record
-    (see `_decode_array`, which also names the array).
+    a field, is of another format version, whose config does not match its
+    `config_hash`, whose Adam constants differ from `ADAM_CONSTANTS` or whose
+    Adam step is not a count raises ValidationError, and so does a bad array
+    record (see `_decode_array`, which also names the array).
     """
     doc = load_json_object(path, "checkpoint")
     version = doc.get("format_version")
@@ -336,25 +334,26 @@ def _restore_checkpoint(doc: dict, path) -> tuple[Model, AdamState, dict]:
     schema = schema_from_dict(doc["schema"], f"checkpoint {path} schema")
     model = Model(schema, config, ablation)
     adam = doc["adam"]
-
-    def arrays(records: dict, group: str) -> dict[str, np.ndarray]:
-        return {
-            name: _decode_array(
-                records[name], p.value.shape, f"checkpoint {path} {group} {name}"
+    for key, value in ADAM_CONSTANTS.items():
+        if adam[key] != value:
+            raise ValidationError(
+                f"checkpoint {path}: adam.{key} is {adam[key]!r}, but this "
+                f"program's Adam uses {value!r}"
             )
-            for name, p in model.params.items()
-        }
-
-    for name, value in arrays(doc["params"], "params").items():
-        model.params[name].value[...] = value
-    state = AdamState(
-        step=int(adam["step"]),
-        beta1=float(adam["beta1"]),
-        beta2=float(adam["beta2"]),
-        eps=float(adam["eps"]),
-        m=arrays(adam["m"], "adam.m"),
-        v=arrays(adam["v"], "adam.v"),
-    )
+    step = adam["step"]
+    if not isinstance(step, int) or isinstance(step, bool) or step < 0:
+        raise ValidationError(
+            f"checkpoint {path}: adam.step is {step!r}, not a count of steps"
+        )
+    state = init_adam(model)
+    state.step = step
+    for group, flat, records in (
+        ("params", model.values, doc["params"]),
+        ("adam.m", state.m, adam["m"]),
+        ("adam.v", state.v, adam["v"]),
+    ):
+        for name, view in model.views(flat).items():
+            _decode_array(records[name], view, f"checkpoint {path} {group} {name}")
     split = doc["split"]
     if not isinstance(split, dict):
         raise ValidationError(f"checkpoint {path} split is not an object")

@@ -15,7 +15,13 @@ from helo.attention import (
     transformer_encode_forward,
 )
 from helo.errors import ConfigurationError
-from helo.linalg import Parameter, Rng, grad_check, layer_norm_forward
+from helo.linalg import (
+    Parameter,
+    Rng,
+    grad_check,
+    iter_parameters,
+    layer_norm_forward,
+)
 
 
 def identity_param(name, n):
@@ -160,24 +166,12 @@ def test_cross_attend_gradients_match_finite_differences():
     query = rng.normal(c, d)
     kv = rng.normal(c, d)
     probe = rng.normal(c, d)
-    registry = {
-        p.name: p
-        for p in (
-            params.w_q,
-            params.w_k["m"],
-            params.w_v["m"],
-            params.w_mha,
-            params.ln_gamma,
-            params.ln_beta,
-        )
-    }
+    registry = {p.name: p for p in iter_parameters(params)}
 
     def loss(_):
         out, _ = cross_attend_forward(query, kv, "m", params)
         return float((out * probe).sum())
 
-    for p in registry.values():
-        p.zero_grad()
     _, cache = cross_attend_forward(query, kv, "m", params)
     cross_attend_backward(probe, cache, params)
     assert grad_check(loss, registry, eps=1e-5) <= 1e-6
@@ -216,17 +210,12 @@ def test_encoder_gradients_match_finite_differences():
     enc = init_encoder(rng, 4, 3, depth=1, heads=2, prefix="e")
     x = rng.normal(3, 4)
     probe = rng.normal(3, 4)
-    registry = {}
-    for layer in enc.layers:
-        for p in vars(layer).values():
-            registry[p.name] = p
+    registry = {p.name: p for p in iter_parameters(enc)}
 
     def loss(_):
         out, _ = transformer_encode_forward(x, enc)
         return float((out * probe).sum())
 
-    for p in registry.values():
-        p.zero_grad()
     _, caches = transformer_encode_forward(x, enc)
     transformer_encode_backward(probe, caches, enc)
     assert grad_check(loss, registry, eps=1e-5) <= 1e-6

@@ -50,16 +50,16 @@ def test_round_trip_is_bit_exact_with_writable_moments(tmp_path, wesad_run):
     restored, restored_state, split = load_checkpoint(path)
     assert split == {"mode": "subject_dependent", "seed": 11}
     assert restored.schema == model.schema and restored.config == model.config
-    assert (restored_state.step, restored_state.beta1, restored_state.beta2,
-            restored_state.eps) == (state.step, state.beta1, state.beta2, state.eps)
-    for name, p in model.params.items():
-        for saved, loaded in (
-            (p.value, restored.params[name].value),
-            (state.m[name], restored_state.m[name]),
-            (state.v[name], restored_state.v[name]),
-        ):
-            assert loaded.dtype == np.float64 and loaded.flags.writeable
-            assert loaded.tobytes() == saved.tobytes()
+    assert restored_state.step == state.step
+    for saved, loaded in (
+        (model.values, restored.values),
+        (state.m, restored_state.m),
+        (state.v, restored_state.v),
+    ):
+        assert loaded.dtype == np.float64 and loaded.flags.writeable
+        assert loaded.tobytes() == saved.tobytes()
+    for name, p in restored.params.items():
+        assert p.value.tobytes() == model.params[name].value.tobytes()
 
 
 def test_resumed_training_is_bit_identical(tmp_path, wesad_run):
@@ -78,10 +78,9 @@ def test_resumed_training_is_bit_identical(tmp_path, wesad_run):
     )
     assert resumed_history == history
     assert resumed_state.step == state.step
-    for name, p in model.params.items():
-        assert resumed.params[name].value.tobytes() == p.value.tobytes()
-        assert resumed_state.m[name].tobytes() == state.m[name].tobytes()
-        assert resumed_state.v[name].tobytes() == state.v[name].tobytes()
+    assert resumed.values.tobytes() == model.values.tobytes()
+    assert resumed_state.m.tobytes() == state.m.tobytes()
+    assert resumed_state.v.tobytes() == state.v.tobytes()
 
 
 def test_saving_the_same_state_twice_gives_identical_bytes(tmp_path, wesad_run):
@@ -98,6 +97,9 @@ def test_array_records_are_little_endian_float64_with_digest(tmp_path):
     save_checkpoint(model, init_adam(model), tmp_path / "c.json")
     doc = json.loads((tmp_path / "c.json").read_text())
     assert doc["format_version"] == 2
+    # records follow the parameter walk, the order of the slabs
+    for group in (doc["params"], doc["adam"]["m"], doc["adam"]["v"]):
+        assert list(group) == list(model.params)
     record = doc["params"]["head.w1"]
     raw = base64.b64decode(record["data"])
     assert record["sha256"] == hashlib.sha256(raw).hexdigest()
@@ -178,7 +180,7 @@ def test_corrupt_checkpoint_raises_only_named_errors(saved_run, data):
         code = run(["evaluate", "--checkpoint", str(path),
                     "--data", str(root / "data.jsonl")])
     assert "Traceback" not in err.getvalue()
-    # A change the checks cannot see (a label name, the Adam beta1) loads and
+    # A change the checks cannot see (a label name, the split seed) loads and
     # evaluates; everything else exits 2 or 3.
     assert code in ({0, 2, 3} if loaded else {2, 3})
     if not loaded:

@@ -288,6 +288,16 @@ def wrong_shape(doc):
     return doc
 
 
+def other_adam_beta1(doc):
+    doc["adam"]["beta1"] = 0.8
+    return doc
+
+
+def negative_adam_step(doc):
+    doc["adam"]["step"] = -1  # resumed training would divide by zero
+    return doc
+
+
 def wrong_config_hash(doc):
     doc["config"]["lambda_cc"] = 0.5
     return doc
@@ -309,6 +319,8 @@ BAD_CHECKPOINTS = {
     "flipped_base64_char": (flip_first_data_char, "params head.w1"),
     "wrong_shape": (wrong_shape, "params head.w1"),
     "config_hash_mismatch": (wrong_config_hash, "config_hash"),
+    "other_adam_beta1": (other_adam_beta1, "adam.beta1"),
+    "negative_adam_step": (negative_adam_step, "adam.step"),
     "split_without_seed": (split_without_seed, "split record"),
     "unknown_split_mode": (unknown_split_mode, "split record"),
 }

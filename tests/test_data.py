@@ -1,8 +1,13 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helo.cli import run
 from helo.data import (
     DMER_SCHEMA,
     WESAD_SCHEMA,
@@ -17,7 +22,7 @@ from helo.data import (
     split_loso,
     split_subject_dependent,
 )
-from helo.errors import SplitError, ValidationError
+from helo.errors import HeloError, SplitError, ValidationError
 from helo.labelspace import batch_label_correlation
 
 
@@ -161,6 +166,48 @@ def test_load_rejects_invalid_distribution(tmp_path):
         load_dataset(path, WESAD_SCHEMA)
 
 
+def set_first_label_nan(record):
+    record["label"][0] = float("nan")  # json.dumps writes NaN, json.loads reads it
+
+
+def set_field(field, value):
+    return lambda record: record.__setitem__(field, value)
+
+
+def label_as_column(record):
+    record["label"] = [[p] for p in record["label"]]
+
+
+# case: (edit of a valid record, field the error names, text it must hold)
+BAD_RECORDS = {
+    "nan_label": (set_first_label_nan, "label", "non-finite"),
+    "fractional_subject": (set_field("subject", 1.7), "subject", "1.7"),
+    "boolean_subject": (set_field("subject", True), "subject", "True"),
+    "string_subject": (set_field("subject", "3"), "subject", "'3'"),
+    "fractional_trial": (set_field("trial", 2.5), "trial", "2.5"),
+    "boolean_trial": (set_field("trial", False), "trial", "False"),
+    "column_label": (label_as_column, "label", "(4, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_load_refuses_record_naming_line_and_field(tmp_path, case):
+    edit, field, text = BAD_RECORDS[case]
+    sample = generate_synthetic(WESAD_SCHEMA, 1, 1, seed=0)[0]
+    record = {
+        "subject": 0,
+        "trial": 0,
+        "features": {k: list(v) for k, v in sample.features.items()},
+        "label": list(sample.label),
+    }
+    edit(record)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValidationError, match=rf"line 1, field '{field}'") as info:
+        load_dataset(path, WESAD_SCHEMA)
+    assert text in str(info.value)
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -230,3 +277,70 @@ def test_split_plans_generate_validate_load_loop(tmp_path):
     )
     assert split_loso(loaded) == split_loso(samples)
     assert len(split_loso(loaded)) == 3
+
+
+# -- random corruption of dataset lines ----------------------------------------------
+
+
+TINY = [
+    "--set", "embed_dim=4", "--set", "heads=1", "--set", "ffn_dim=4",
+    "--set", "head_hidden1=4", "--set", "head_hidden2=4",
+    "--set", "tokens_per_modality=1", "--set", "batch_size=8",
+]
+
+
+@pytest.fixture(scope="module")
+def saved_lines(tmp_path_factory):
+    root = tmp_path_factory.mktemp("lines")
+    save_dataset(generate_synthetic(WESAD_SCHEMA, 2, 5, seed=4), root / "data.jsonl")
+    return root, (root / "data.jsonl").read_text().splitlines()
+
+
+@st.composite
+def corrupted_line(draw, line):
+    kind = draw(st.sampled_from(["truncate", "replace", "delete_key"]))
+    # a uniform position: integer draws favour small values, which would
+    # keep most cuts and replacements near the start of the line
+    at = draw(st.randoms(use_true_random=False)).randrange(1, len(line))
+    if kind == "truncate":
+        return kind, line[:at]  # at >= 1: an empty line is a blank line
+    if kind == "replace":
+        # number characters often keep the line valid JSON, so records that
+        # still load reach training as well
+        chars = st.one_of(
+            st.sampled_from("0123456789.-e"), st.characters(codec="utf-8")
+        )
+        char = draw(chars.filter(lambda c: c != line[at]))
+        return kind, line[:at] + char + line[at + 1 :]
+    record = json.loads(line)
+    node = record
+    key = draw(st.sampled_from(sorted(node)))
+    if key == "features" and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node)))
+    del node[key]
+    return kind, json.dumps(record, separators=(",", ":"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_corrupt_dataset_line_raises_only_named_errors(saved_lines, data):
+    root, lines = saved_lines
+    at = data.draw(st.integers(0, len(lines) - 1))
+    kind, line = data.draw(corrupted_line(lines[at]))
+    path = root / "broken.jsonl"
+    path.write_text("\n".join(lines[:at] + [line] + lines[at + 1 :]) + "\n",
+                    encoding="utf-8")
+    try:
+        load_dataset(path, WESAD_SCHEMA)
+        loaded = True
+    except HeloError:
+        loaded = False
+    assert not (kind in ("truncate", "delete_key") and loaded)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        # no --schema: a broken first line also reaches schema inference
+        code = run(["train", "--data", str(path), "--out-dir", str(root / "out"),
+                    "--epochs", "1", *TINY])
+    assert "Traceback" not in err.getvalue()
+    assert code in ({0, 2, 3} if loaded else {2, 3})

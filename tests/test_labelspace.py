@@ -214,8 +214,6 @@ def test_label_path_gradients_match_finite_differences():
     def loss_fn(_):
         return forward()[0]
 
-    for p in registry.values():
-        p.zero_grad()
     _, (m_learn, gram_cache, att_cache, head_cache, pred) = forward()
     dpred = kld_loss_backward(pred, target)
     d_x_o = predict_head_backward(dpred, head_cache, head)

@@ -121,13 +121,6 @@ def test_rng_reproducible():
     np.testing.assert_array_equal(draws[0], draws[1])
 
 
-def test_parameter_zero_grad():
-    p = Parameter("w", np.ones((2, 2)))
-    p.grad += 3.0
-    p.zero_grad()
-    np.testing.assert_array_equal(p.grad, 0.0)
-
-
 # -- gradient check ------------------------------------------------------------
 
 

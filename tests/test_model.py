@@ -136,6 +136,29 @@ def test_every_grid_variant_trains_a_step(dmer_samples):
         assert np.isfinite(total), spec.label()
 
 
+def offset_in(buffer, view):
+    start = view.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
+    return start // buffer.itemsize
+
+
+@pytest.mark.parametrize("spec", ablation_grid(DMER_SCHEMA), ids=AblationSpec.label)
+def test_parameters_are_disjoint_views_covering_both_slabs(spec):
+    model = Model(DMER_SCHEMA, small_config(), spec)
+    assert not np.shares_memory(model.values, model.grads)
+    for buffer, attr in ((model.values, "value"), (model.grads, "grad")):
+        assert buffer.dtype == np.float64 and buffer.ndim == 1
+        covered = np.zeros(buffer.size, dtype=int)
+        for p in model.params.values():
+            view = getattr(p, attr)
+            assert np.shares_memory(view, buffer) and view.flags.c_contiguous
+            start = offset_in(buffer, view)
+            covered[start : start + view.size] += 1
+        assert (covered == 1).all()
+    model.grads[...] = 1.0
+    model.zero_grads()
+    assert all((p.grad == 0.0).all() for p in model.params.values())
+
+
 def test_excluding_all_physiological_rejected():
     with pytest.raises(ConfigurationError):
         Model(

@@ -3,19 +3,22 @@ import pytest
 
 from helo.config import TrainConfig
 from helo.data import (
+    DMER_SCHEMA,
     WESAD_SCHEMA,
     generate_synthetic,
     labels_matrix,
     split_subject_dependent,
 )
 from helo.labelspace import batch_label_correlation
-from helo.linalg import Parameter
 from helo.model import AblationSpec, Model
 from helo.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     adam_step,
     evaluate_model,
-
+    init_adam,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -39,55 +42,84 @@ def tiny_config(seed=0, **overrides):
     base.update(overrides)
     return TrainConfig(**base)
 
-def scalar_params(value, grad):
-    p = Parameter("theta", np.array([[value]]))
-    p.grad[...] = grad
-    return {"theta": p}
+def scalar_slab(value, grad):
+    """A one-entry values buffer, its gradient and fresh Adam moments."""
+    state = AdamState(0, np.zeros(1), np.zeros(1))
+    return np.array([value]), np.array([grad]), state
 
 
 # -- adam ---------------------------------------------------------------------
 
 
 def test_adam_zero_gradient_fixed_point():
-    params = scalar_params(1.5, 0.0)
-    state = AdamState(m={"theta": np.zeros((1, 1))}, v={"theta": np.zeros((1, 1))})
-    adam_step(params, state, lr=1e-3)
-    assert params["theta"].value[0, 0] == 1.5
+    values, grads, state = scalar_slab(1.5, 0.0)
+    adam_step(values, grads, state, lr=1e-3)
+    assert values[0] == 1.5
 
 
 def test_adam_first_step_magnitude_is_lr():
     # bias-corrected m/sqrt(v) is 1 on the first step for any constant gradient
-    params = scalar_params(0.0, 1.0)
-    state = AdamState(m={"theta": np.zeros((1, 1))}, v={"theta": np.zeros((1, 1))})
-    adam_step(params, state, lr=1e-3)
-    assert params["theta"].value[0, 0] == pytest.approx(-1e-3, rel=1e-6)
+    values, grads, state = scalar_slab(0.0, 1.0)
+    adam_step(values, grads, state, lr=1e-3)
+    assert values[0] == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_adam_lr_zero_is_identity():
-    params = scalar_params(0.7, 2.0)
-    state = AdamState(m={"theta": np.zeros((1, 1))}, v={"theta": np.zeros((1, 1))})
-    adam_step(params, state, lr=0.0)
-    assert params["theta"].value[0, 0] == 0.7
+    values, grads, state = scalar_slab(0.7, 2.0)
+    adam_step(values, grads, state, lr=0.0)
+    assert values[0] == 0.7
 
 
 def test_adam_deterministic_across_runs():
     results = []
     for _ in range(2):
         rng = np.random.default_rng(0)
-        params = {"w": Parameter("w", rng.normal(size=(3, 3)))}
-        state = init_adam_like(params)
+        values = rng.normal(size=9)
+        state = AdamState(0, np.zeros(9), np.zeros(9))
         for step in range(10):
-            params["w"].grad[...] = rng.normal(size=(3, 3))
-            adam_step(params, state, lr=1e-2)
-        results.append(params["w"].value.copy())
+            adam_step(values, rng.normal(size=9), state, lr=1e-2)
+        results.append(values)
     np.testing.assert_array_equal(results[0], results[1])
 
 
-def init_adam_like(params):
-    return AdamState(
-        m={k: np.zeros_like(p.value) for k, p in params.items()},
-        v={k: np.zeros_like(p.value) for k, p in params.items()},
-    )
+def reference_adam_step(params, m, v, step, lr):
+    """Adam over one parameter array at a time, with per-name moments."""
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    for name, p in params.items():
+        g = p.grad
+        m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        p.value -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        TrainConfig(),  # dmer defaults: 457k entries, 14 chunks
+        TrainConfig(embed_dim=32, heads=2, ffn_dim=32, tokens_per_modality=8),
+    ],
+    ids=["dmer_defaults", "train_sinkhorn"],
+)
+def test_slab_adam_equals_per_array_reference(config):
+    model = Model(DMER_SCHEMA, config)
+    reference = Model(DMER_SCHEMA, config)
+    state = init_adam(model)
+    m = {n: np.zeros_like(p.value) for n, p in reference.params.items()}
+    v = {n: np.zeros_like(p.value) for n, p in reference.params.items()}
+    rng = np.random.default_rng(5)
+    for step in range(1, 4):
+        model.grads[...] = rng.normal(size=model.grads.size)
+        for name, p in reference.params.items():
+            p.grad[...] = model.params[name].grad
+        adam_step(model.values, model.grads, state, lr=1e-3)
+        reference_adam_step(reference.params, m, v, step, lr=1e-3)
+    assert state.step == 3
+    views = {"m": model.views(state.m), "v": model.views(state.v)}
+    for name, p in reference.params.items():
+        assert model.params[name].value.tobytes() == p.value.tobytes(), name
+        assert views["m"][name].tobytes() == m[name].tobytes(), name
+        assert views["v"][name].tobytes() == v[name].tobytes(), name
 
 
 # -- training loop -----------------------------------------------------------------
@@ -176,13 +208,6 @@ def test_evaluate_model_matches_final_history_row(wesad_setup):
     np.testing.assert_allclose(
         metrics.as_tuple(), history[-1].test_metrics.as_tuple(), atol=1e-12
     )
-
-
-def test_adam_moment_shape_drift_rejected():
-    params = scalar_params(0.0, 1.0)
-    state = AdamState(m={"theta": np.zeros((2, 2))}, v={"theta": np.zeros((1, 1))})
-    with pytest.raises(Exception, match="shape drift"):
-        adam_step(params, state, lr=1e-3)
 
 
 def test_divergence_error_names_epoch_and_batch(wesad_setup):
