@@ -154,20 +154,36 @@ def schema_from_dict(doc, where: str) -> DatasetSchema:
         schema = DatasetSchema(
             name=doc["name"],
             modalities=tuple(
-                Modality(m["name"], int(m["dim"]), m["group"])
-                for m in doc["modalities"]
+                Modality(m["name"], m["dim"], m["group"]) for m in doc["modalities"]
             ),
             label_names=tuple(doc["label_names"]),
         )
     except KeyError as exc:
         raise ValidationError(f"{where} lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ValidationError(f"{where} is malformed: {exc}") from None
+    for m in schema.modalities:
+        if type(m.dim) is not int or m.dim <= 0:
+            raise ValidationError(f"{where}: {m.name!r} dim {m.dim!r} is not a positive integer")
+        if m.group not in (PHYSIOLOGICAL, BEHAVIORAL):
+            raise ValidationError(f"{where}: {m.name!r} has the unknown group {m.group!r}")
+    _check_names(where, "modalities", [m.name for m in schema.modalities])
+    _check_names(where, "label_names", doc["label_names"])
     try:
         schema.behavioral  # validates the one-behavioral invariant
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
     return schema
+
+
+def _check_names(where: str, field: str, names) -> None:
+    if not isinstance(names, list) or not names:
+        raise ValidationError(f"{where}: {field} must be a non-empty list")
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ValidationError(f"{where}: {field} entry {name!r} is not a string")
+        if name in names[:i]:
+            raise ValidationError(f"{where}: {field} repeats the name {name!r}")
 
 
 def load_schema(path) -> DatasetSchema:

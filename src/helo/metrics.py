@@ -2,14 +2,17 @@
 
 Four distances (Chebyshev, Clark, Canberra, KL) and two similarities
 (cosine, intersection), averaged per evaluation set, plus the mean-rank
-table used to compare methods across all six measures.  KL is the training
-loss `labelspace.kld_loss`, so evaluation and training smooth distributions
-the same way.
+table used to compare methods across all six measures.  One kernel,
+`metric_matrix`, scores (N, L) prediction / ground-truth arrays row by row;
+`evaluate_set` is its mean and `metric_vector` its batch of one, so a
+sample's measures are bit-identical in any batch.  KL is the training loss
+`labelspace.kld_loss`, so evaluation and training smooth distributions the
+same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,55 +41,54 @@ class MetricVector:
     intersection: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.chebyshev,
-            self.clark,
-            self.canberra,
-            self.kl,
-            self.cosine,
-            self.intersection,
-        )
+        return astuple(self)
 
 
-def metric_vector(pred, truth) -> MetricVector:
-    """All six measures for one prediction / ground-truth pair."""
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-    truth = np.asarray(truth, dtype=np.float64).reshape(-1)
-    if pred.shape != truth.shape:
+def metric_matrix(preds, truths) -> np.ndarray:
+    """(N, 6) measures in `METRIC_NAMES` order, one row per row of the (N, L)
+    arrays; every reduction is along a row, so no row depends on another."""
+    pred = np.asarray(preds, dtype=np.float64)
+    truth = np.asarray(truths, dtype=np.float64)
+    if pred.ndim != 2 or pred.shape != truth.shape:
         raise DimensionError(
-            f"distribution lengths differ: {pred.shape[0]} vs {truth.shape[0]}"
+            f"prediction and ground-truth arrays differ: {pred.shape} vs {truth.shape}"
         )
     diff = np.abs(truth - pred)
     denom = truth + pred
     # Both-zero entries contribute 0 to Clark and Canberra (diagonal limit).
     safe = np.where(denom == 0.0, 1.0, denom)
-    clark_terms = np.where(denom == 0.0, 0.0, (truth - pred) ** 2 / safe**2)
     canberra_terms = np.where(denom == 0.0, 0.0, diff / safe)
-    norm = np.sqrt((truth * truth).sum()) * np.sqrt((pred * pred).sum())
-    return MetricVector(
-        chebyshev=float(diff.max()),
-        clark=float(np.sqrt(clark_terms.sum())),
-        canberra=float(canberra_terms.sum()),
-        kl=kld_loss(pred, truth),
-        cosine=float((truth * pred).sum() / norm) if norm > 0.0 else 0.0,
-        intersection=float(np.minimum(truth, pred).sum()),
+    # Where (t + p)^2 is subnormal or underflows to 0, Clark's term is the
+    # square of Canberra's, which stays exact instead of becoming 0/0.
+    square = safe**2
+    normal = square >= np.finfo(np.float64).tiny
+    clark_terms = np.where(
+        normal, (truth - pred) ** 2 / np.where(normal, square, 1.0), canberra_terms**2
     )
+    norm = np.sqrt((truth * truth).sum(axis=-1)) * np.sqrt((pred * pred).sum(axis=-1))
+    dot = (truth * pred).sum(axis=-1)
+    cosine = np.divide(dot, norm, out=np.zeros_like(dot), where=norm > 0.0)  # 0 at norm 0
+    return np.stack([diff.max(axis=-1), np.sqrt(clark_terms.sum(axis=-1)),
+                     canberra_terms.sum(axis=-1), kld_loss(pred, truth), cosine,
+                     np.minimum(truth, pred).sum(axis=-1)], axis=-1)
+
+
+def metric_vector(pred, truth) -> MetricVector:
+    """All six measures for one prediction / ground-truth pair."""
+    pred = np.asarray(pred, dtype=np.float64).reshape(1, -1)
+    truth = np.asarray(truth, dtype=np.float64).reshape(1, -1)
+    return MetricVector(*(float(x) for x in metric_matrix(pred, truth)[0]))
 
 
 def evaluate_set(preds, truths) -> MetricVector:
-    """Arithmetic mean of per-sample metric vectors."""
-    preds = list(preds)
-    truths = list(truths)
-    if not preds:
+    """Mean of the per-sample measures of N predictions and ground truths."""
+    if len(preds) == 0:
         raise EmptySetError("cannot evaluate an empty prediction set")
     if len(preds) != len(truths):
         raise DimensionError(
             f"{len(preds)} predictions but {len(truths)} ground truths"
         )
-    stacked = np.array(
-        [metric_vector(p, t).as_tuple() for p, t in zip(preds, truths)]
-    )
-    return MetricVector(*(float(x) for x in stacked.mean(axis=0)))
+    return MetricVector(*(float(x) for x in metric_matrix(preds, truths).mean(axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ token arrays; prediction is a batch of one, and every forward product is a
 per-sample matrix product, so a sample's prediction is bit-identical in any
 batch.  The backward pass runs once per batch and sums weight gradients over
 it in a fixed order, so runs stay bit-reproducible.
+
+Each stage appears once in the forward and once in the backward pass, and
+an ablation is a degenerate input to it: without CAPF each physiological
+stream skips cross-attention, without OTHM `t` is None and the tokens pass
+untransported, and without a behavioral modality there is no second encoder
+output to append.  Only a disabled LCDCA is skipped whole.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from . import attention as att
 from . import labelspace as ls
 from . import transport as tp
 from .config import TrainConfig
-from .data import DatasetSchema
+from .data import DatasetSchema, labels_matrix
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .linalg import (
     Matrix,
@@ -49,13 +55,9 @@ class AblationSpec:
     excluded_modalities: frozenset = frozenset()
 
     def label(self) -> str:
-        parts = []
-        if self.disable_capf:
-            parts.append("wo_capf")
-        if self.disable_othm:
-            parts.append("wo_othm")
-        if self.disable_lcdca:
-            parts.append("wo_lcdca")
+        switches = (("capf", self.disable_capf), ("othm", self.disable_othm),
+                    ("lcdca", self.disable_lcdca))
+        parts = [f"wo_{name}" for name, off in switches if off]
         parts.extend(f"wo_{m}" for m in sorted(self.excluded_modalities))
         return "+".join(parts) if parts else "full"
 
@@ -65,13 +67,13 @@ class BatchForward:
     """One batched forward pass: (B, ...) intermediates and stage caches."""
 
     proj: dict
-    streams: list
+    streams: list                # per key/value modality; None entries without CAPF
     x_phy: Matrix
     plans: tp.PlanBatch | None   # None when transport is off or plans were given
-    t: np.ndarray | None         # (B, n, m) couplings used
-    transported: Matrix | None
+    t: np.ndarray | None         # (B, n, m) couplings used; None without OTHM
+    transported: Matrix          # x_phy itself when t is None
     enc_phy_cache: object
-    enc_v_cache: object
+    enc_v_cache: object          # None without a behavioral modality
     x_m: Matrix
     pooled: Matrix | None
     lcdca_cache: object
@@ -81,11 +83,12 @@ class BatchForward:
 
 @dataclass(frozen=True)
 class SampleForward:
-    """One sample's intermediates, from a batch of one."""
+    """One sample's intermediates, from a batch of one; `transported` is
+    `x_phy` itself when no plan is used."""
 
     x_phy: Matrix
     plan: tp.TransportPlan | None
-    transported: Matrix | None
+    transported: Matrix
     x_m: Matrix
     pooled: Matrix | None
     pred: np.ndarray
@@ -120,17 +123,13 @@ class Model:
             raise ConfigurationError("at least one physiological modality is required")
         self.active_modalities = active
         self.behavioral = behav[0].name if behav else None
-        c = self.config.tokens_per_modality
         self.use_capf = (not ab.disable_capf) and len(phys) >= 2
-        if self.use_capf:
-            # First remaining physiological modality supplies the queries.
-            self.query_modality = phys[0].name
-            self.kv_modalities = [m.name for m in phys[1:]]
-            self.n_phy_tokens = c * len(self.kv_modalities)
-        else:
-            self.query_modality = None
-            self.kv_modalities = [m.name for m in phys]
-            self.n_phy_tokens = c * len(phys)
+        # With CAPF the first remaining physiological modality supplies the
+        # queries and every other one a key/value stream; without it every
+        # physiological modality is a stream of its own tokens.
+        self.query_modality = phys[0].name if self.use_capf else None
+        self.kv_modalities = [m.name for m in (phys[1:] if self.use_capf else phys)]
+        self.n_phy_tokens = self.config.tokens_per_modality * len(self.kv_modalities)
         self.use_othm = (not ab.disable_othm) and self.behavioral is not None
         self.n_v_tokens = self.n_phy_tokens if self.behavioral else 0
         self.n_fused = self.n_phy_tokens + self.n_v_tokens
@@ -161,12 +160,10 @@ class Model:
             else None
         )
         n_labels = self.schema.label_count
+        self.w_pool = self.label_attn = None
         if self.use_lcdca:
             self.w_pool = Parameter("pool.w", rng.glorot(n_labels, self.n_fused))
             self.label_attn = ls.init_label_attention(rng, n_labels, d, "label")
-        else:
-            self.w_pool = None
-            self.label_attn = None
         self.head = ls.init_prediction_head(
             rng, d, cfg.head_hidden1, cfg.head_hidden2, n_labels, "head"
         )
@@ -223,60 +220,48 @@ class Model:
             for m in self.active_modalities
         }
 
-    def _forward(
-        self,
-        features: dict[str, np.ndarray],
-        m_learn: Matrix | None,
-        t: np.ndarray | None = None,
-    ) -> BatchForward:
-        """The pipeline on (B, dim) features; `t` freezes the couplings."""
-        proj_caches = {}
-        tokens = {}
+    def _forward(self, features: dict[str, np.ndarray], m_learn: Matrix | None,
+                 t: np.ndarray | None = None) -> BatchForward:
+        """The pipeline on (B, dim) features; `t` freezes the couplings and
+        is ignored without OTHM."""
+        tokens, proj_caches = {}, {}
         for m in self.active_modalities:
             tokens[m.name], proj_caches[m.name] = att.project_modality_forward(
                 features[m.name], self.projections[m.name]
             )
-        streams = []
-        if self.use_capf:
-            outs = []
-            for kv in self.kv_modalities:
+        outs, streams = [], []
+        for kv in self.kv_modalities:
+            out, cache = tokens[kv], None
+            if self.use_capf:
                 out, cache = att.cross_attend_forward(
-                    tokens[self.query_modality], tokens[kv], kv, self.capf
+                    tokens[self.query_modality], out, kv, self.capf
                 )
-                outs.append(out)
-                streams.append((kv, cache))
-            x_phy = np.concatenate(outs, axis=-2)
-        else:
-            x_phy = np.concatenate([tokens[m] for m in self.kv_modalities], axis=-2)
-        x_v = tokens[self.behavioral] if self.behavioral else None
-        plans = transported = enc_v_cache = None
-        if self.behavioral:
-            if self.use_othm:
-                if t is None:
-                    plans = self.solve_plans(x_phy, x_v)
-                    t = plans.t
-                transported = tp.transport_tokens(
-                    x_phy, t, rescale=self.config.rescale_transport
-                )
-            else:
-                t = None
-                transported = x_phy
-            e_phy, enc_phy_cache = att.transformer_encode_forward(
-                transported, self.enc_phy
-            )
-            e_v, enc_v_cache = att.transformer_encode_forward(x_v, self.enc_v)
-            x_m = np.concatenate([e_phy, e_v], axis=-2)
-        else:
+            outs.append(out)
+            streams.append(cache)
+        x_phy = np.concatenate(outs, axis=-2)
+        plans = None
+        if not self.use_othm:
             t = None
-            x_m, enc_phy_cache = att.transformer_encode_forward(x_phy, self.enc_phy)
+        elif t is None:
+            plans = self.solve_plans(x_phy, tokens[self.behavioral])
+            t = plans.t
+        transported = (
+            x_phy if t is None
+            else tp.transport_tokens(x_phy, t, rescale=self.config.rescale_transport)
+        )
+        x_m, enc_phy_cache = att.transformer_encode_forward(transported, self.enc_phy)
+        enc_v_cache = None
+        if self.behavioral:
+            e_v, enc_v_cache = att.transformer_encode_forward(
+                tokens[self.behavioral], self.enc_v
+            )
+            x_m = np.concatenate([x_m, e_v], axis=-2)
+        pooled, x_o, lcdca_cache = None, x_m, None
         if self.use_lcdca:
             pooled = self.w_pool.value @ x_m
             x_o, lcdca_cache = ls.lcdca_forward(
                 self.label_attn.x_l.value, pooled, m_learn, self.label_attn
             )
-        else:
-            pooled = None
-            x_o, lcdca_cache = x_m, None
         pred, head_cache = ls.predict_head_forward(x_o, self.head)
         if not np.isfinite(pred).all():
             raise NumericalError("forward pass produced a non-finite prediction")
@@ -311,7 +296,7 @@ class Model:
         return SampleForward(
             x_phy=fwd.x_phy[0],
             plan=plan,
-            transported=None if fwd.transported is None else fwd.transported[0],
+            transported=fwd.transported[0],
             x_m=fwd.x_m[0],
             pooled=None if fwd.pooled is None else fwd.pooled[0],
             pred=fwd.pred[0],
@@ -349,7 +334,7 @@ class Model:
         if n == 0:
             raise ConfigurationError("batch must contain at least one sample")
         m_learn, gram_cache = self._label_gram()
-        labels = np.array([s.label for s in samples], dtype=np.float64)
+        labels = labels_matrix(samples)
         if self.use_lcdca and m_gt is None:
             m_gt = ls.batch_label_correlation(labels)
         t = None if plans is None else np.array([p.t for p in plans])
@@ -366,10 +351,10 @@ class Model:
 
     def _backward(self, fwd: BatchForward, labels, m_learn, gram_cache, m_gt) -> None:
         dpred = ls.kld_loss_backward(fwd.pred, labels) / len(labels)
-        d_x_o = ls.predict_head_backward(dpred, fwd.head_cache, self.head)
+        d_x_m = ls.predict_head_backward(dpred, fwd.head_cache, self.head)
         if self.use_lcdca:
             d_x_l, d_pooled, d_m_learn = ls.lcdca_backward(
-                d_x_o, fwd.lcdca_cache, self.label_attn
+                d_x_m, fwd.lcdca_cache, self.label_attn
             )
             self.w_pool.grad += weight_grad(mT(d_pooled), mT(fwd.x_m))
             d_x_m = self.w_pool.value.T @ d_pooled
@@ -378,37 +363,28 @@ class Model:
             self.label_attn.x_l.grad += ls.label_correlation_backward(
                 d_m_learn, gram_cache
             )
-        else:
-            d_x_m = d_x_o
+        d_tokens = {}
         if self.behavioral:
-            d_x_v = att.transformer_encode_backward(
+            d_tokens[self.behavioral] = att.transformer_encode_backward(
                 d_x_m[:, self.n_phy_tokens :], fwd.enc_v_cache, self.enc_v
             )
-            d_x_phy = att.transformer_encode_backward(
-                d_x_m[:, : self.n_phy_tokens], fwd.enc_phy_cache, self.enc_phy
-            )
-            if fwd.t is not None:
-                scale = float(fwd.t.shape[-2]) if self.config.rescale_transport else 1.0
-                d_x_phy = mT(scale * fwd.t) @ d_x_phy
-        else:
-            d_x_phy = att.transformer_encode_backward(
-                d_x_m, fwd.enc_phy_cache, self.enc_phy
-            )
+        d_x_phy = att.transformer_encode_backward(
+            d_x_m[:, : self.n_phy_tokens], fwd.enc_phy_cache, self.enc_phy
+        )
+        if fwd.t is not None:
+            scale = float(fwd.t.shape[-2]) if self.config.rescale_transport else 1.0
+            d_x_phy = mT(scale * fwd.t) @ d_x_phy
         c = self.config.tokens_per_modality
-        d_tokens = {}
-        if self.use_capf:
-            d_query = 0.0
-            for j, (kv, cache) in enumerate(fwd.streams):
+        d_query = 0.0
+        for j, (kv, cache) in enumerate(zip(self.kv_modalities, fwd.streams)):
+            d_tokens[kv] = d_x_phy[:, j * c : (j + 1) * c]
+            if cache is not None:
                 dq, d_tokens[kv] = att.cross_attend_backward(
-                    d_x_phy[:, j * c : (j + 1) * c], cache, self.capf
+                    d_tokens[kv], cache, self.capf
                 )
                 d_query += dq
+        if self.use_capf:
             d_tokens[self.query_modality] = d_query
-        else:
-            for j, name in enumerate(self.kv_modalities):
-                d_tokens[name] = d_x_phy[:, j * c : (j + 1) * c]
-        if self.behavioral:
-            d_tokens[self.behavioral] = d_x_v
         for m in self.active_modalities:
             att.project_modality_backward(
                 d_tokens[m.name], fwd.proj[m.name], self.projections[m.name]

@@ -4,7 +4,8 @@ Training is single-threaded over batches with a seeded shuffle so identical
 configs produce byte-identical histories and checkpoints.  Adam's moments
 are two flat buffers laid out like the model's `values`, and one step
 updates the whole slab.  Evaluation runs the batched forward pass over
-chunks of `batch_size` samples; predictions do not depend on the chunking.
+chunks of `batch_size` samples and scores all predictions as one (N, L)
+array; neither the predictions nor their measures depend on the chunking.
 
 A checkpoint (format version 2) is one JSON document holding the schema
 document, the config and its hash, the ablation switches, the split record,
@@ -95,13 +96,16 @@ def adam_step(
 
 
 def evaluate_model(model: Model, samples: list[Sample], indices) -> MetricVector:
+    """Mean measures of the indexed samples, predicted in chunks of
+    `batch_size` and scored as one (N, L) array."""
     subset = [samples[i] for i in indices]
     step = model.config.batch_size
-    preds: list[np.ndarray] = []
-    for start in range(0, len(subset), step):
-        chunk = subset[start : start + step]
-        preds.extend(model.predict_batch([s.features for s in chunk]))
-    return evaluate_set(preds, [s.label for s in subset])
+    chunks = [
+        model.predict_batch([s.features for s in subset[start : start + step]])
+        for start in range(0, len(subset), step)
+    ]
+    preds = np.concatenate(chunks) if chunks else []
+    return evaluate_set(preds, labels_matrix(subset))
 
 
 # ---------------------------------------------------------------------------

@@ -458,3 +458,42 @@ def test_bad_outside_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert err.startswith("error:") and "Traceback" not in err
     assert named in err
     assert not (tmp_path / "out" / "history.csv").exists()
+
+
+def _schema_doc(edit):
+    from helo.data import schema_to_dict
+
+    doc = schema_to_dict(WESAD_SCHEMA)
+    edit(doc)
+    return json.dumps(doc)
+
+
+# each document edits the wesad schema; stderr must name the field
+BAD_SCHEMAS = {
+    "repeated_modality": (
+        lambda d: d["modalities"].append(dict(d["modalities"][0])), "modalities"
+    ),
+    "repeated_label": (lambda d: d["label_names"].append("amused"), "label_names"),
+    "unknown_group": (lambda d: d["modalities"][0].update(group="vocal"), "group"),
+    "zero_dim": (lambda d: d["modalities"][0].update(dim=0), "dim"),
+    "string_dim": (lambda d: d["modalities"][0].update(dim="73"), "dim"),
+    "fractional_dim": (lambda d: d["modalities"][0].update(dim=73.5), "dim"),
+    "bool_dim": (lambda d: d["modalities"][1].update(dim=True), "dim"),
+    "empty_label_names": (lambda d: d.update(label_names=[]), "label_names"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCHEMAS))
+def test_bad_schema_document_exits_2_naming_the_field(tmp_path, capsys, case):
+    edit, field = BAD_SCHEMAS[case]
+    data = gen(tmp_path, subjects=2, trials=5)
+    schema_path = tmp_path / "bad.json"
+    schema_path.write_text(_schema_doc(edit))
+    capsys.readouterr()
+    code = run(["train", "--data", str(data), "--schema", str(schema_path),
+                "--out-dir", str(tmp_path / "out"), *SMALL])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert field in err and "bad.json" in err
+    assert not (tmp_path / "out" / "history.csv").exists()

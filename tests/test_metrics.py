@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helo.errors import DimensionError, EmptySetError, IncompleteTableError
 from helo.metrics import (
@@ -9,6 +11,7 @@ from helo.metrics import (
 
     average_rank,
     evaluate_set,
+    metric_matrix,
     metric_vector,
     render_rank_csv,
     render_rank_text,
@@ -111,6 +114,13 @@ def test_term_bounds():
         assert m.clark <= math.sqrt(n)
 
 
+def test_clark_of_tiny_entries_is_their_ratio_squared():
+    # (t + p)^2 underflows to 0 here; the term is ((t - p) / (t + p))^2
+    m = metric_vector(np.array([1e-200, 1.0]), np.array([1e-170, 1.0]))
+    assert m.clark == pytest.approx(1.0, rel=1e-12)
+    assert m.canberra == pytest.approx(1.0, rel=1e-12)
+
+
 def test_length_mismatch():
     with pytest.raises(DimensionError):
         metric_vector(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
@@ -141,6 +151,42 @@ def test_evaluate_set_componentwise_mean():
 def test_evaluate_set_empty():
     with pytest.raises(EmptySetError):
         evaluate_set([], [])
+
+
+@st.composite
+def prediction_truth_batches(draw):
+    n = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 8))
+    # exact zeros are common, so rows of zeros and both-zero entries occur
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    rows = st.lists(st.lists(entry, min_size=width, max_size=width),
+                    min_size=n, max_size=n)
+    return np.array(draw(rows)), np.array(draw(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(batch=prediction_truth_batches())
+def test_metric_rows_are_batch_invariant(batch):
+    preds, truths = batch
+    rows = metric_matrix(preds, truths)
+    assert rows.shape == (len(preds), len(METRIC_NAMES))
+    assert np.isfinite(rows).all()
+    for i, (pred, truth) in enumerate(zip(preds, truths)):
+        alone = metric_matrix(pred[None], truth[None])[0]
+        assert rows[i].tobytes() == alone.tobytes()
+        assert tuple(rows[i]) == metric_vector(pred, truth).as_tuple()
+        # the both-zero limit: such entries add nothing to Clark or Canberra
+        kept = (pred != 0.0) | (truth != 0.0)
+        if not kept.any():
+            assert rows[i][1] == rows[i][2] == 0.0
+        elif not kept.all():
+            without = metric_vector(pred[kept], truth[kept])
+            assert rows[i][1] == pytest.approx(without.clark, rel=1e-12, abs=0.0)
+            assert rows[i][2] == pytest.approx(without.canberra, rel=1e-12, abs=0.0)
+        if not pred.any() or not truth.any():
+            assert rows[i][4] == 0.0  # zero-norm cosine
+    mean = evaluate_set(preds, truths).as_tuple()
+    assert mean == tuple(float(x) for x in rows.mean(axis=0))
 
 
 # -- rank aggregation --------------------------------------------------------------------

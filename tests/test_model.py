@@ -112,6 +112,7 @@ def test_behavioral_removal_bypasses_transport(dmer_samples):
     assert model.behavioral is None
     cache = model.forward_sample(dmer_samples[0].features)
     assert cache.plan is None
+    np.testing.assert_array_equal(cache.transported, cache.x_phy)
     assert cache.x_m.shape == (model.n_phy_tokens, 8)
 
 
