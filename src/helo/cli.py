@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -254,7 +255,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_gradcheck(args) -> int:
     err, _, plans = full_pipeline_gradcheck(seed=args.seed, eps=args.eps)
     if args.sinkhorn_csv:
-        write_violation_csv(plans[0], args.sinkhorn_csv)
+        write_violation_csv(plans.plan(0), args.sinkhorn_csv)
     print(f"max relative gradient error: {err:.3e}")
     return EXIT_OK
 
@@ -270,11 +271,15 @@ def _cmd_report(args) -> int:
         for line in lines[1:]:
             cells = line.split(",")
             try:
-                scores[cells[0]] = {
-                    name: float(value) for name, value in zip(header[1:], cells[1:])
-                }
+                row = {name: float(value) for name, value in zip(header[1:], cells[1:])}
             except ValueError as exc:
                 raise ValidationError(f"{path}: {exc}") from None
+            for name, value in row.items():
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"{path}: {cells[0]} {name} is {value!r}, not a finite score"
+                    )
+            scores[cells[0]] = row
     table = average_rank(scores)
     text = render_rank_text(table)
     print(text, end="")

@@ -123,31 +123,29 @@ def _rank_scores(values: list[float], higher_is_better: bool) -> list[float]:
     return [float(r) for r in ranks]
 
 
-def average_rank(
-    scores: dict[str, dict[str, float]],
-    metrics: tuple[str, ...] = METRIC_NAMES,
-    higher_is_better: dict[str, bool] | None = None,
-) -> RankTable:
-    """Per-metric ranks (1 = best, ties share the mean rank) and their mean."""
-    directions = dict(METRIC_HIGHER_IS_BETTER) if higher_is_better is None else higher_is_better
+def average_rank(scores: dict[str, dict[str, float]]) -> RankTable:
+    """Per-measure ranks (1 = best, ties share the mean rank) over
+    `METRIC_NAMES`, and their mean."""
     methods = tuple(scores)
     if not methods:
         raise EmptySetError("rank table needs at least one method")
     for method in methods:
-        for metric in metrics:
+        for metric in METRIC_NAMES:
             if metric not in scores[method]:
                 raise IncompleteTableError(f"method {method!r} missing {metric!r}")
     ranks: dict[str, dict[str, float]] = {m: {} for m in methods}
-    for metric in metrics:
+    for metric in METRIC_NAMES:
         column = [scores[m][metric] for m in methods]
-        for method, rank in zip(methods, _rank_scores(column, directions[metric])):
+        ranked = _rank_scores(column, METRIC_HIGHER_IS_BETTER[metric])
+        for method, rank in zip(methods, ranked):
             ranks[method][metric] = rank
     averages = {
-        m: float(np.mean([ranks[m][metric] for metric in metrics])) for m in methods
+        m: float(np.mean([ranks[m][metric] for metric in METRIC_NAMES]))
+        for m in methods
     }
     return RankTable(
         methods=methods,
-        metrics=tuple(metrics),
+        metrics=METRIC_NAMES,
         scores={m: dict(scores[m]) for m in methods},
         ranks=ranks,
         average_rank=averages,

@@ -4,12 +4,15 @@ A model owns every trainable parameter plus the wiring decisions implied by
 the schema and the ablation switches.  Its parameters live in two flat
 float64 buffers, `values` and `grads`, in the order `linalg.iter_parameters`
 walks the stage structs; each `Parameter` is a named view of its slice, so
-zeroing the gradients is one fill and the optimizer updates whole buffers.
+zeroing the gradients is one fill, the optimizer updates whole buffers and
+a checkpoint stores each buffer as one record.
 Training, evaluation and prediction share one forward pass over (B, T, d)
 token arrays; prediction is a batch of one, and every forward product is a
 per-sample matrix product, so a sample's prediction is bit-identical in any
 batch.  The backward pass runs once per batch and sums weight gradients over
-it in a fixed order, so runs stay bit-reproducible.
+it in a fixed order, so runs stay bit-reproducible.  No gradient flows
+through the Sinkhorn solve, and `batch_loss(t=...)` reuses the (B, n, m)
+couplings of an earlier forward, which the gradient check needs.
 
 Each stage appears once in the forward and once in the backward pass, and
 an ablation is a degenerate input to it: without CAPF each physiological
@@ -38,7 +41,6 @@ from .linalg import (
     iter_parameters,
     mT,
     pack_parameters,
-    slab_views,
     weight_grad,
 )
 
@@ -69,7 +71,7 @@ class BatchForward:
     proj: dict
     streams: list                # per key/value modality; None entries without CAPF
     x_phy: Matrix
-    plans: tp.PlanBatch | None   # None when transport is off or plans were given
+    plans: tp.PlanBatch | None   # None when transport is off or `t` was given
     t: np.ndarray | None         # (B, n, m) couplings used; None without OTHM
     transported: Matrix          # x_phy itself when t is None
     enc_phy_cache: object
@@ -171,10 +173,6 @@ class Model:
                   self.w_pool, self.label_attn, self.head]
         self.params = {p.name: p for p in iter_parameters(stages)}
         self.values, self.grads = pack_parameters(list(self.params.values()))
-
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each parameter's slice of a flat buffer laid out like `values`."""
-        return dict(zip(self.params, slab_views(flat, self.params.values())))
 
     def zero_grads(self) -> None:
         self.grads.fill(0.0)
@@ -281,21 +279,13 @@ class Model:
             pred=pred,
         )
 
-    def forward_sample(
-        self, features: dict[str, np.ndarray], plan: tp.TransportPlan | None = None
-    ) -> SampleForward:
-        """One sample through the batched forward; `plan` freezes its coupling."""
+    def forward_sample(self, features: dict[str, np.ndarray]) -> SampleForward:
+        """One sample through the batched forward."""
         m_learn, _ = self._label_gram()
-        fwd = self._forward(
-            self._stack([features]), m_learn, None if plan is None else plan.t[None]
-        )
-        if fwd.t is None:
-            plan = None
-        elif plan is None:
-            plan = fwd.plans.plan(0)
+        fwd = self._forward(self._stack([features]), m_learn)
         return SampleForward(
             x_phy=fwd.x_phy[0],
-            plan=plan,
+            plan=None if fwd.plans is None else fwd.plans.plan(0),
             transported=fwd.transported[0],
             x_m=fwd.x_m[0],
             pooled=None if fwd.pooled is None else fwd.pooled[0],
@@ -321,14 +311,15 @@ class Model:
         self,
         samples,
         m_gt: Matrix | None = None,
-        plans: list[tp.TransportPlan] | None = None,
+        t: np.ndarray | None = None,
         compute_grads: bool = True,
     ):
         """Mean divergence over the batch plus the correlation penalty.
 
         Returns (total, kld_mean, cc, forward).  When `compute_grads` is set,
         parameter gradients are zeroed and repopulated for exactly this batch;
-        transport plans are constants throughout, and `plans` freezes them.
+        transport plans are constants throughout, and `t`, the (B, n, m)
+        couplings of an earlier forward (its `.t`), freezes them.
         """
         n = len(samples)
         if n == 0:
@@ -337,7 +328,6 @@ class Model:
         labels = labels_matrix(samples)
         if self.use_lcdca and m_gt is None:
             m_gt = ls.batch_label_correlation(labels)
-        t = None if plans is None else np.array([p.t for p in plans])
         fwd = self._forward(self._stack([s.features for s in samples]), m_learn, t)
         kld_mean = float(ls.kld_loss(fwd.pred, labels).sum()) / n
         cc = ls.cc_loss(m_learn, m_gt) if self.use_lcdca else 0.0

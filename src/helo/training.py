@@ -7,14 +7,14 @@ updates the whole slab.  Evaluation runs the batched forward pass over
 chunks of `batch_size` samples and scores all predictions as one (N, L)
 array; neither the predictions nor their measures depend on the chunking.
 
-A checkpoint (format version 2) is one JSON document holding the schema
+A checkpoint (format version 3) is one JSON document holding the schema
 document, the config and its hash, the ablation switches, the split record,
-the Adam step and constants, and every parameter and Adam moment as a
-record of its shape, the base64 of its little-endian float64 bytes and their
-sha256, in the order of the model's parameters.  `_encode_array` writes each
-record from a view of its slab and `_decode_array` checks it on load and
-decodes it into that view; version-1 files and other Adam constants are
-refused.
+the Adam step and constants, and three slabs: the model's `values` and
+Adam's `m` and `v`, each one record of the base64 of its little-endian
+float64 bytes and their sha256.  `_encode_slab` writes a record from a whole
+buffer and `_decode_slab` checks it on load and decodes it into the buffer
+of the rebuilt model; files of versions 1 and 2 and other Adam constants
+are refused.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .labelspace import batch_label_correlation
 from .metrics import MetricVector, evaluate_set
 from .model import AblationSpec, Model
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -220,35 +220,30 @@ def write_label_correlation_csv(model: Model, path, config_hash: str, seed: int)
         fh.write("\n".join(lines) + "\n")
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    """An array as a checkpoint record: its shape, and the base64 of its
-    little-endian float64 bytes with their sha256."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _encode_slab(flat: np.ndarray) -> dict:
+    """A flat buffer as a checkpoint record: the base64 of its
+    little-endian float64 bytes, with their sha256."""
+    # hashed and encoded through the buffer protocol: no bytes copy of the slab
+    raw = np.ascontiguousarray(flat, dtype="<f8")
     return {
-        "shape": list(arr.shape),
         "sha256": hashlib.sha256(raw).hexdigest(),
         "data": base64.b64encode(raw).decode("ascii"),
     }
 
 
-def _decode_array(record, out: np.ndarray, where: str) -> None:
-    """Decode the array `_encode_array` stored into `out`, a view of a slab.
+def _decode_slab(record, out: np.ndarray, where: str) -> None:
+    """Decode the slab `_encode_slab` stored into the flat buffer `out`.
 
-    `where` names the file and the array.  A record that is not of the shape
-    of `out`, not base64, of the wrong byte length or whose bytes do not
-    match their digest raises ValidationError; a non-finite value raises
-    NumericalError.
+    `where` names the file and the slab.  A record that is not base64, not
+    of the byte length of `out` or whose bytes do not match their digest
+    raises ValidationError; a non-finite value raises NumericalError.
     """
     if not isinstance(record, dict):
         raise ValidationError(f"{where} is not an object")
     try:
-        stored_shape, data, digest = record["shape"], record["data"], record["sha256"]
+        data, digest = record["data"], record["sha256"]
     except KeyError as exc:
         raise ValidationError(f"{where} lacks the field {exc}") from None
-    if not isinstance(stored_shape, list) or tuple(stored_shape) != out.shape:
-        raise ValidationError(
-            f"{where} has shape {stored_shape!r}, expected {list(out.shape)}"
-        )
     try:
         raw = base64.b64decode(data, validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
@@ -257,7 +252,7 @@ def _decode_array(record, out: np.ndarray, where: str) -> None:
         raise ValidationError(f"{where} holds {len(raw)} bytes, expected {8 * out.size}")
     if hashlib.sha256(raw).hexdigest() != digest:
         raise ValidationError(f"{where} does not match its sha256 digest")
-    out[...] = np.frombuffer(raw, dtype="<f8").reshape(out.shape)
+    out[...] = np.frombuffer(raw, dtype="<f8")
     if not np.isfinite(out).all():
         raise NumericalError(f"{where} holds non-finite values")
 
@@ -280,18 +275,18 @@ def save_checkpoint(
             "excluded_modalities": sorted(model.ablation.excluded_modalities),
         },
         "split": split_info or {},
-        "params": {name: _encode_array(p.value) for name, p in model.params.items()},
+        "params": _encode_slab(model.values),
         "adam": {
             "step": state.step,
             **ADAM_CONSTANTS,
-            "m": {k: _encode_array(v) for k, v in model.views(state.m).items()},
-            "v": {k: _encode_array(v) for k, v in model.views(state.v).items()},
+            "m": _encode_slab(state.m),
+            "v": _encode_slab(state.v),
         },
     }
-    # json.dumps encodes in C; json.dump would run the pure-Python encoder
-    text = json.dumps(doc, separators=(",", ":"))
+    # json.dump writes the document piece by piece, so the file's text is
+    # never held whole; with three slab records its pure-Python walk is short
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        json.dump(doc, fh, separators=(",", ":"))
         fh.write("\n")
 
 
@@ -301,8 +296,8 @@ def load_checkpoint(path) -> tuple[Model, AdamState, dict]:
     Every error names the file: a file that is not JSON, is cut short, lacks
     a field, is of another format version, whose config does not match its
     `config_hash`, whose Adam constants differ from `ADAM_CONSTANTS` or whose
-    Adam step is not a count raises ValidationError, and so does a bad array
-    record (see `_decode_array`, which also names the array).
+    Adam step is not a count raises ValidationError, and so does a bad slab
+    record (see `_decode_slab`, which also names the slab).
     """
     doc = load_json_object(path, "checkpoint")
     version = doc.get("format_version")
@@ -351,13 +346,12 @@ def _restore_checkpoint(doc: dict, path) -> tuple[Model, AdamState, dict]:
         )
     state = init_adam(model)
     state.step = step
-    for group, flat, records in (
+    for name, flat, record in (
         ("params", model.values, doc["params"]),
         ("adam.m", state.m, adam["m"]),
         ("adam.v", state.v, adam["v"]),
     ):
-        for name, view in model.views(flat).items():
-            _decode_array(records[name], view, f"checkpoint {path} {group} {name}")
+        _decode_slab(record, flat, f"checkpoint {path} {name}")
     split = doc["split"]
     if not isinstance(split, dict):
         raise ValidationError(f"checkpoint {path} split is not an object")

@@ -2,9 +2,10 @@
 
 Builds a deliberately tiny configuration (the schema keeps its real feature
 dimensionalities; only embedding sizes shrink) so every parameter entry can
-be swept with central differences in seconds.  Transport plans are solved
-once and frozen, matching the training-time convention that no gradient
-flows through the Sinkhorn iterations.
+be swept with central differences in seconds.  One batched forward solves
+the transport plans, and every perturbed loss reuses its (B, n, m)
+couplings, matching the training-time convention that no gradient flows
+through the Sinkhorn iterations.
 """
 
 from __future__ import annotations
@@ -41,16 +42,15 @@ def full_pipeline_gradcheck(
     schema: DatasetSchema = DMER_SCHEMA,
     config: TrainConfig | None = None,
 ):
-    """Returns (max relative error, model, frozen plans) for a 4-sample batch."""
+    """Returns (max relative error, model, frozen plans) for a 4-sample
+    batch; the plans are a `PlanBatch`, or None without OTHM."""
     config = config or tiny_config(seed)
     samples = generate_synthetic(schema, n_subjects=2, trials_per_subject=2, seed=seed)
     model = Model(schema, config)
-    plans = [model.forward_sample(s.features).plan for s in samples]
+    fwd = model.batch_loss(samples)[3]
 
     def loss_fn(_params):
-        total, _, _, _ = model.batch_loss(samples, plans=plans, compute_grads=False)
-        return total
+        return model.batch_loss(samples, t=fwd.t, compute_grads=False)[0]
 
-    model.batch_loss(samples, plans=plans, compute_grads=True)
     err = grad_check(loss_fn, model.params, eps)
-    return err, model, plans
+    return err, model, fwd.plans

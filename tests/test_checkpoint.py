@@ -1,4 +1,4 @@
-"""Checkpoint format version 2: round trips, resumed training, and the checks
+"""Checkpoint format version 3: round trips, resumed training, and the checks
 made on load."""
 
 import base64
@@ -94,17 +94,22 @@ def test_saving_the_same_state_twice_gives_identical_bytes(tmp_path, wesad_run):
 
 def test_array_records_are_little_endian_float64_with_digest(tmp_path):
     model = Model(WESAD_SCHEMA, small_config())
-    save_checkpoint(model, init_adam(model), tmp_path / "c.json")
+    state = init_adam(model)
+    state.m += 0.5  # three slabs of different bytes
+    state.v += 2.0
+    save_checkpoint(model, state, tmp_path / "c.json")
     doc = json.loads((tmp_path / "c.json").read_text())
-    assert doc["format_version"] == 2
-    # records follow the parameter walk, the order of the slabs
-    for group in (doc["params"], doc["adam"]["m"], doc["adam"]["v"]):
-        assert list(group) == list(model.params)
-    record = doc["params"]["head.w1"]
-    raw = base64.b64decode(record["data"])
-    assert record["sha256"] == hashlib.sha256(raw).hexdigest()
-    stored = np.frombuffer(raw, dtype="<f8").reshape(record["shape"])
-    np.testing.assert_array_equal(stored, model.params["head.w1"].value)
+    assert doc["format_version"] == 3
+    # one record per slab, holding the whole buffer
+    for record, flat in (
+        (doc["params"], model.values),
+        (doc["adam"]["m"], state.m),
+        (doc["adam"]["v"], state.v),
+    ):
+        assert sorted(record) == ["data", "sha256"]
+        raw = base64.b64decode(record["data"])
+        assert record["sha256"] == hashlib.sha256(raw).hexdigest()
+        assert raw == flat.astype("<f8").tobytes()
 
 
 def test_config_hash_mismatch_is_refused(tmp_path):

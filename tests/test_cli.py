@@ -170,19 +170,17 @@ def test_gradcheck_runs_with_diagnostics(tmp_path, capsys):
     assert len(lines) > 1
 
 
-def array_record(arr):
-    """A checkpoint array record: shape, sha256 and base64 of `<f8` bytes."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def slab_record(flat):
+    """A checkpoint slab record: sha256 and base64 of `<f8` bytes."""
+    raw = np.ascontiguousarray(flat, dtype="<f8").tobytes()
     return {
-        "shape": list(arr.shape),
         "sha256": hashlib.sha256(raw).hexdigest(),
         "data": base64.b64encode(raw).decode("ascii"),
     }
 
 
-def stored_array(record):
-    raw = base64.b64decode(record["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(record["shape"]).copy()
+def stored_slab(record):
+    return np.frombuffer(base64.b64decode(record["data"]), dtype="<f8").copy()
 
 
 def test_corrupted_checkpoint_exits_3(tmp_path, capsys):
@@ -193,14 +191,15 @@ def test_corrupted_checkpoint_exits_3(tmp_path, capsys):
     ckpt = out / "checkpoint.json"
     doc = json.loads(ckpt.read_text())
     # a NaN stored with a matching digest: only the finiteness check sees it
-    w1 = stored_array(doc["params"]["head.w1"])
-    w1.flat[0] = float("nan")
-    doc["params"]["head.w1"] = array_record(w1)
+    values = stored_slab(doc["params"])
+    values[-1] = float("nan")
+    doc["params"] = slab_record(values)
     ckpt.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 3
     err = capsys.readouterr().err
-    assert "head.w1" in err and "Traceback" not in err
+    assert f"checkpoint {ckpt} params holds non-finite" in err
+    assert "Traceback" not in err
 
 
 def test_schema_file_path_flag(tmp_path):
@@ -232,11 +231,11 @@ def test_truncated_or_incomplete_checkpoint_exits_2(tmp_path, capsys):
                 "--epochs", "1", *SMALL]) == 0
     text = (out / "checkpoint.json").read_text()
     no_array = json.loads(text)
-    del no_array["params"]["head.w1"]
+    del no_array["params"]
     no_digest = json.loads(text)
-    del no_digest["adam"]["m"]["head.w1"]["sha256"]
+    del no_digest["adam"]["m"]["sha256"]
     broken = {
-        "cut.json": text[: text.index('"data":"', text.index('"head.w1"')) + 20],
+        "cut.json": text[: text.index('"data":"', text.index('"params"')) + 20],
         "empty.json": "",
         "missing.json": json.dumps(no_array),
         "no_digest.json": json.dumps(no_digest),
@@ -259,32 +258,19 @@ def trained_checkpoint(tmp_path_factory):
     return data, json.loads((root / "run" / "checkpoint.json").read_text())
 
 
-def as_version_1(doc):
-    """The same state in the layout of checkpoint format version 1."""
-    def lists(records):
-        return {k: stored_array(r).reshape(-1).tolist() for k, r in records.items()}
-
-    return {
-        **doc,
-        "format_version": 1,
-        "schema": doc["schema"]["name"],
-        "params": {
-            k: {"shape": r["shape"], "data": stored_array(r).reshape(-1).tolist()}
-            for k, r in doc["params"].items()
-        },
-        "adam": {**doc["adam"], "m": lists(doc["adam"]["m"]),
-                 "v": lists(doc["adam"]["v"])},
-    }
+def as_version(n):
+    """The same document labelled as checkpoint format version `n`."""
+    return lambda doc: {**doc, "format_version": n}
 
 
 def flip_first_data_char(doc):
-    record = doc["params"]["head.w1"]
+    record = doc["params"]
     record["data"] = ("B" if record["data"][0] == "A" else "A") + record["data"][1:]
     return doc
 
 
-def wrong_shape(doc):
-    doc["params"]["head.w1"]["shape"].append(1)
+def one_float_short(doc):
+    doc["adam"]["v"] = slab_record(stored_slab(doc["adam"]["v"])[:-1])
     return doc
 
 
@@ -315,9 +301,10 @@ def unknown_split_mode(doc):
 
 # case: (edit of the saved document, text stderr must hold)
 BAD_CHECKPOINTS = {
-    "version_1": (as_version_1, "format_version 1"),
-    "flipped_base64_char": (flip_first_data_char, "params head.w1"),
-    "wrong_shape": (wrong_shape, "params head.w1"),
+    "version_1": (as_version(1), "format_version 1"),
+    "version_2": (as_version(2), "format_version 2"),
+    "flipped_base64_char": (flip_first_data_char, "params does not match"),
+    "wrong_shape": (one_float_short, "adam.v holds"),
     "config_hash_mismatch": (wrong_config_hash, "config_hash"),
     "other_adam_beta1": (other_adam_beta1, "adam.beta1"),
     "negative_adam_step": (negative_adam_step, "adam.step"),
@@ -435,6 +422,17 @@ BAD_INPUTS = {
         {"e.csv": _eval_csv(["full,0.1,0.2,0.3,0.4,0.5,abc"])},
         ["report", "e.csv"],
         "e.csv",
+    ),
+    "report_nan_score": (
+        {"e.csv": _eval_csv(["full,0.1,0.2,0.3,0.4,0.5,0.6",
+                             "other,0.1,nan,0.3,0.4,0.5,0.6"])},
+        ["report", "e.csv"],
+        "e.csv: other clark is nan",
+    ),
+    "report_inf_score": (
+        {"e.csv": _eval_csv(["full,0.1,0.2,0.3,0.4,-inf,0.6"])},
+        ["report", "e.csv"],
+        "e.csv: full cosine is -inf",
     ),
 }
 

@@ -188,11 +188,13 @@ def test_batch_loss_deterministic(dmer_samples):
 
 def test_plan_reuse_matches_recompute(dmer_samples):
     model = Model(DMER_SCHEMA, small_config())
-    features = dmer_samples[0].features
-    plan = model.forward_sample(features).plan
-    fresh = model.forward_sample(features)
-    frozen = model.forward_sample(features, plan=plan)
-    np.testing.assert_array_equal(fresh.pred, frozen.pred)
+    samples = dmer_samples[:4]
+    fresh = model.batch_loss(samples)
+    fresh_grads = model.grads.copy()
+    frozen = model.batch_loss(samples, t=fresh[3].t)
+    assert frozen[:3] == fresh[:3]
+    assert frozen[3].plans is None  # nothing was solved
+    assert model.grads.tobytes() == fresh_grads.tobytes()
 
 
 def test_every_public_name_resolves():

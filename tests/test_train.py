@@ -10,6 +10,7 @@ from helo.data import (
     split_subject_dependent,
 )
 from helo.labelspace import batch_label_correlation
+from helo.linalg import slab_views
 from helo.model import AblationSpec, Model
 from helo.training import (
     ADAM_BETA1,
@@ -115,11 +116,12 @@ def test_slab_adam_equals_per_array_reference(config):
         adam_step(model.values, model.grads, state, lr=1e-3)
         reference_adam_step(reference.params, m, v, step, lr=1e-3)
     assert state.step == 3
-    views = {"m": model.views(state.m), "v": model.views(state.v)}
-    for name, p in reference.params.items():
+    slab_m = slab_views(state.m, model.params.values())
+    slab_v = slab_views(state.v, model.params.values())
+    for (name, p), sm, sv in zip(reference.params.items(), slab_m, slab_v):
         assert model.params[name].value.tobytes() == p.value.tobytes(), name
-        assert views["m"][name].tobytes() == m[name].tobytes(), name
-        assert views["v"][name].tobytes() == v[name].tobytes(), name
+        assert sm.tobytes() == m[name].tobytes(), name
+        assert sv.tobytes() == v[name].tobytes(), name
 
 
 # -- training loop -----------------------------------------------------------------

@@ -9,8 +9,8 @@ from helo.verify import full_pipeline_gradcheck, tiny_config
 def test_full_pipeline_gradcheck_dmer(tiny_gradcheck):
     err, model, plans = tiny_gradcheck(0)
     assert err <= 1e-4
-    assert len(plans) == 4
-    assert all(p.converged for p in plans)
+    assert plans.t.shape[0] == 4
+    assert plans.converged.all()
 
 def test_full_pipeline_gradcheck_wesad_full_weighting():
     # 4 classes keep the correlation term small, so the unweighted composite
@@ -26,13 +26,14 @@ def test_full_pipeline_gradcheck_unscaled_transport():
     assert err <= 1e-4
 
 def test_gradcheck_uses_frozen_plans():
-    # the plans full_pipeline_gradcheck freezes, built the same way
+    # the couplings full_pipeline_gradcheck freezes, built the same way
     model = Model(DMER_SCHEMA, tiny_config(1))
     samples = generate_synthetic(DMER_SCHEMA, 2, 2, seed=1)
-    plans = [model.forward_sample(s.features).plan for s in samples]
-    # plan shapes match the wiring
+    fwd = model.batch_loss(samples)[3]
+    # one (n, n) coupling per sample, as the wiring gives
     n = model.n_phy_tokens
-    assert plans[0].t.shape == (n, n)
+    assert fwd.t.shape == (4, n, n)
+    assert fwd.plans.t is fwd.t
 
 
 ABLATIONS = [
@@ -52,18 +53,14 @@ def test_every_ablation_backward_matches_directional_differences(schema, spec):
     # projection on each.
     model = Model(schema, tiny_config(0), spec)
     samples = generate_synthetic(schema, n_subjects=2, trials_per_subject=2, seed=0)
-    plans = (
-        [model.forward_sample(s.features).plan for s in samples]
-        if model.use_othm else None
-    )
-    model.batch_loss(samples, plans=plans)
+    t = model.batch_loss(samples)[3].t
     grads = model.grads.copy()
     base = model.values.copy()
     h = 1e-5
 
     def loss_at(values):
         model.values[:] = values
-        return model.batch_loss(samples, plans=plans, compute_grads=False)[0]
+        return model.batch_loss(samples, t=t, compute_grads=False)[0]
 
     rng = np.random.default_rng(0)
     for _ in range(4):
